@@ -9,8 +9,7 @@ from .fmtengine import (
     canonical_text, data_format_of, describe, expand, parse_descriptors,
 )
 from .ioflow import (
-    AnalyzeOptions, IoEvent, Multiplicity, UnitBinding, analyze, bind_units,
-    loop_multiplicity,
+    IoEvent, Multiplicity, UnitBinding, analyze, bind_units, loop_multiplicity,
 )
 from .lexer import (
     FIXED_FORM, FREE_FORM, LexError, SourceUnit, Token, TokenKind, tokenize,

@@ -6,9 +6,17 @@ from dataclasses import dataclass
 
 
 class AnalysisError(Exception):
-    """Base for every error the pipeline can raise on bad source input."""
+    """Base for every error the pipeline can raise on bad source input.
 
-    line: int | None = None
+    The message names no source position; ``line`` and ``column`` locate the
+    error, and the command line tool prints them as ``file:line:col``.
+    """
+
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        super().__init__(message)
+        self.message = message
+        self.line = line
+        self.column = column
 
 
 @dataclass(frozen=True)

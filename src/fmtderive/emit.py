@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
+from itertools import takewhile
 from pathlib import Path
 
 from . import diagnostics as diag
@@ -14,7 +15,7 @@ from .fmtengine import (
     DescriptorError, canonical_text as descriptor_text, data_format_of,
     describe, expand, layout_table, parse_descriptors,
 )
-from .ioflow import AnalyzeOptions, IoEvent, analyze, dump_events
+from .ioflow import IoEvent, analyze, dump_events
 from .lexer import FIXED_FORM, FREE_FORM, SourceUnit, describe_token, tokenize
 from .symbols import build_tables, doc_name, dump_symbols
 from .syntax import ListDirected, attach_formats, dump_ast, parse
@@ -46,18 +47,12 @@ class DataFormatDoc:
 
 def build_docs(events: list[IoEvent]) -> list[DataFormatDoc]:
     """Fold events into one document per target file, groups in source order."""
-    order: list[str] = []
     per_file: dict[str, list[IoEvent]] = {}
     for event in events:
-        name = event.binding.file_name
-        if name not in per_file:
-            per_file[name] = []
-            order.append(name)
-        per_file[name].append(event)
+        per_file.setdefault(event.binding.file_name, []).append(event)
 
     docs = []
-    for name in order:
-        file_events = per_file[name]
+    for name, file_events in per_file.items():
         directions = {e.direction for e in file_events}
         if directions == {"READ"}:
             direction = "input"
@@ -68,11 +63,8 @@ def build_docs(events: list[IoEvent]) -> list[DataFormatDoc]:
 
         groups: list[RecordGroup] = []
         notes: list[Diagnostic] = []
-        seen_bindings: set[int] = set()
         for event in file_events:
-            if id(event.binding) not in seen_bindings:
-                seen_bindings.add(id(event.binding))
-                notes.extend(event.binding.diagnostics)
+            notes.extend(event.binding.diagnostics)
             notes.extend(event.diagnostics)
             if not event.items:
                 continue
@@ -102,11 +94,7 @@ def build_docs(events: list[IoEvent]) -> list[DataFormatDoc]:
             groups.append(RecordGroup(
                 number, entries, separator_mode, resolved_default, mult.conditional))
 
-        deduped: list[Diagnostic] = []
-        for note in notes:
-            if note not in deduped:
-                deduped.append(note)
-        docs.append(DataFormatDoc(name, direction, tuple(groups), tuple(deduped)))
+        docs.append(DataFormatDoc(name, direction, tuple(groups), tuple(dict.fromkeys(notes))))
     return docs
 
 
@@ -163,47 +151,41 @@ def _doc_file_name(target: str) -> str:
     return f"{name}.format.xml"
 
 
-@dataclass
-class _ParseFlags:
-    dialect: str = FIXED_FORM
-    default_loop_count: int = 1
-    dump_tokens: bool = False
-    dump_ast: bool = False
-    dump_symbols: bool = False
-    dump_events: bool = False
-
-
 def process_source(
     path: str,
     text: str,
     out_dir: Path,
-    flags: _ParseFlags,
+    args: argparse.Namespace,
     out=None,
 ) -> list[Path]:
-    """Run the full pipeline on one source file and write its documents."""
+    """Run the full pipeline on one source file and write its documents.
+
+    args is the namespace of the parse subcommand: dialect,
+    default_loop_count and the dump flags.
+    """
     if out is None:
         out = sys.stdout
-    unit = SourceUnit(path, text, flags.dialect)
+    unit = SourceUnit(path, text, FIXED_FORM if args.dialect == "fixed" else FREE_FORM)
     tokens = tokenize(unit)
-    if flags.dump_tokens:
+    if args.dump_tokens:
         for tok in tokens:
             print(f"{tok.line}:{tok.column} {describe_token(tok)} {tok.lexeme}", file=out)
     program = parse(tokens)
-    if flags.dump_ast:
+    if args.dump_ast:
         print(dump_ast(program), file=out)
     formats = attach_formats(program)
     tables = build_tables(program)
-    if flags.dump_symbols:
+    if args.dump_symbols:
         print(dump_symbols(tables), file=out)
-    events = analyze(program, tables, formats,
-                     AnalyzeOptions(flags.default_loop_count))
-    if flags.dump_events:
+    events = analyze(program, tables, formats, args.default_loop_count)
+    if args.dump_events:
         print(dump_events(events), file=out)
 
     written = []
     for doc in build_docs(events):
         target = out_dir / _doc_file_name(doc.file_name)
-        target.write_text(serialize(doc), encoding="ascii")
+        # Non-ASCII text from a Latin-1 source becomes character references.
+        target.write_text(serialize(doc), encoding="ascii", errors="xmlcharrefreplace")
         print(f"{doc.file_name}: {doc.direction}, {len(doc.groups)} group(s)"
               f" -> {target}", file=out)
         written.append(target)
@@ -218,11 +200,17 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def count(text: str) -> int:
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+        return value
+
     p_parse = sub.add_parser("parse", help="analyze source files and emit format docs")
     p_parse.add_argument("sources", nargs="+", help="FORTRAN source files")
     p_parse.add_argument("-o", "--output-dir", default=".", help="directory for emitted docs")
     p_parse.add_argument("--dialect", choices=["fixed", "free"], default="fixed")
-    p_parse.add_argument("--default-loop-count", type=int, default=1, metavar="N",
+    p_parse.add_argument("--default-loop-count", type=count, default=1, metavar="N",
                          help="trip count assumed for loops with variable bounds")
     p_parse.add_argument("--dump-tokens", action="store_true")
     p_parse.add_argument("--dump-ast", action="store_true")
@@ -232,6 +220,13 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     p_desc = sub.add_parser("descriptor", help="expand one format descriptor text")
     p_desc.add_argument("text", help="descriptor list, without the outer parentheses")
     return parser
+
+
+def _error(message: str, *location) -> None:
+    """Print one error on stderr as `file:line:col: error: message`, with the
+    location cut at its first unknown (None) part."""
+    where = ":".join(str(part) for part in takewhile(lambda part: part is not None, location))
+    print(f"{where}: error: {message}" if where else f"error: {message}", file=sys.stderr)
 
 
 def run_cli(argv: list[str] | None = None) -> int:
@@ -246,40 +241,32 @@ def run_cli(argv: list[str] | None = None) -> int:
         try:
             descriptors = parse_descriptors(args.text)
         except DescriptorError as err:
-            print(f"error: {err}", file=sys.stderr)
+            _error(err.message)
             return 1
         layout = expand(descriptors)
         print(layout_table(layout))
         print(describe(layout))
         return 0
 
-    flags = _ParseFlags(
-        dialect=FIXED_FORM if args.dialect == "fixed" else FREE_FORM,
-        default_loop_count=args.default_loop_count,
-        dump_tokens=args.dump_tokens,
-        dump_ast=args.dump_ast,
-        dump_symbols=args.dump_symbols,
-        dump_events=args.dump_events,
-    )
     out_dir = Path(args.output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as err:
-        print(f"error: cannot create output directory: {err}", file=sys.stderr)
+        _error(f"cannot create output directory: {err}")
         return 1
 
     status = 0
     for source in args.sources:
         try:
-            text = Path(source).read_text(encoding="ascii", errors="strict")
-        except (OSError, UnicodeError) as err:
-            print(f"error: {source}: {err}", file=sys.stderr)
+            text = Path(source).read_text(encoding="latin-1")
+        except OSError as err:
+            _error(str(err), source)
             status = 1
             continue
         try:
-            process_source(source, text, out_dir, flags)
+            process_source(source, text, out_dir, args)
         except AnalysisError as err:
-            print(f"error: {source}: {err}", file=sys.stderr)
+            _error(err.message, source, err.line, err.column)
             status = 1
     return status
 

@@ -18,10 +18,11 @@ from .symbols import DataType
 
 
 class DescriptorError(AnalysisError):
+    """A malformed format; position is the offset within the format text."""
+
     def __init__(self, position: int, message: str):
         super().__init__(f"position {position}: {message}")
         self.position = position
-        self.message = message
 
 
 @dataclass(frozen=True)
@@ -309,41 +310,27 @@ def expand(descriptors: list[EditDescriptor]) -> Layout:
     items: list[LayoutItem] = []
     breaks: list[int] = []
     column = 1
-
-    def emit(kind: LayoutKind, width: int, frac: int | None = None):
-        nonlocal column
-        items.append(LayoutItem(kind, width, frac, column, column + width - 1))
-        column += width
-
-    def walk(d: EditDescriptor):
-        nonlocal column
-        if isinstance(d, PositionX):
-            emit(LayoutKind.BLANK, d.count)
-        elif isinstance(d, IntEdit):
-            emit(LayoutKind.INTEGER, d.width)
-        elif isinstance(d, FixedEdit):
-            emit(LayoutKind.FIXED_REAL, d.width, d.frac)
-        elif isinstance(d, ExpEdit):
-            emit(LayoutKind.EXP_REAL, d.width, d.frac)
-        elif isinstance(d, CharEdit):
-            emit(LayoutKind.CHARACTER, d.width if d.width is not None else 1)
-        elif isinstance(d, LiteralText):
-            emit(LayoutKind.LITERAL, len(d.text))
-        elif isinstance(d, RecordBreak):
+    for d in _iter_leaves(descriptors):
+        if isinstance(d, RecordBreak):
             breaks.append(len(items))
             column = 1
-        elif isinstance(d, Group):
-            for _ in range(d.repeat):
-                for child in d.children:
-                    walk(child)
-        elif isinstance(d, Repeated):
-            for _ in range(d.repeat):
-                walk(d.single)
+            continue
+        frac = None
+        if isinstance(d, PositionX):
+            kind, width = LayoutKind.BLANK, d.count
+        elif isinstance(d, IntEdit):
+            kind, width = LayoutKind.INTEGER, d.width
+        elif isinstance(d, (FixedEdit, ExpEdit)):
+            kind = LayoutKind.FIXED_REAL if isinstance(d, FixedEdit) else LayoutKind.EXP_REAL
+            width, frac = d.width, d.frac
+        elif isinstance(d, CharEdit):
+            kind, width = LayoutKind.CHARACTER, d.width if d.width is not None else 1
+        elif isinstance(d, LiteralText):
+            kind, width = LayoutKind.LITERAL, len(d.text)
         else:
             raise TypeError(f"not an edit descriptor: {d!r}")
-
-    for d in descriptors:
-        walk(d)
+        items.append(LayoutItem(kind, width, frac, column, column + width - 1))
+        column += width
     return Layout(tuple(items), sum(i.width for i in items), tuple(breaks))
 
 
@@ -429,14 +416,16 @@ def data_format_of(
     return text
 
 
-def _iter_leaves(descriptors: list[EditDescriptor]):
+def _iter_leaves(descriptors):
+    """Yield the leaf descriptors in the order a transfer visits them, with
+    groups and repeat counts unrolled."""
     for d in descriptors:
         if isinstance(d, Group):
             for _ in range(d.repeat):
-                yield from _iter_leaves(list(d.children))
+                yield from _iter_leaves(d.children)
         elif isinstance(d, Repeated):
             for _ in range(d.repeat):
-                yield from _iter_leaves([d.single])
+                yield d.single
         else:
             yield d
 

@@ -13,8 +13,8 @@ from .symbols import (
     lookup_type,
 )
 from .syntax import (
-    CloseStmt, DoStmt, Inline, IntExpr, Label, ListDirected, Literal,
-    OpenStmt, ProgramUnit, ReadStmt, StarUnit, Stmt, WriteStmt, expr_text,
+    CloseStmt, DoStmt, Inline, IntExpr, IoStmt, Label, ListDirected, Literal,
+    OpenStmt, ProgramUnit, StarUnit, expr_text, walk,
 )
 
 STDIN_NAME = "<stdin>"
@@ -23,9 +23,8 @@ STDOUT_NAME = "<stdout>"
 
 class MissingFormatLabel(AnalysisError):
     def __init__(self, label: int, line: int):
-        super().__init__(f"line {line}: FORMAT label {label} is never defined")
+        super().__init__(f"FORMAT label {label} is never defined", line)
         self.label = label
-        self.line = line
 
 
 @dataclass
@@ -65,24 +64,6 @@ class IoEvent:
     diagnostics: tuple[Diagnostic, ...] = ()
 
 
-@dataclass
-class AnalyzeOptions:
-    default_loop_count: int = 1
-
-
-def _walk(unit: ProgramUnit) -> list[tuple[Stmt, tuple[DoStmt, ...]]]:
-    out: list[tuple[Stmt, tuple[DoStmt, ...]]] = []
-
-    def visit(stmts: list[Stmt], path: tuple[DoStmt, ...]):
-        for stmt in stmts:
-            out.append((stmt, path))
-            if isinstance(stmt, DoStmt):
-                visit(stmt.body, path + (stmt,))
-
-    visit(unit.statements, ())
-    return out
-
-
 def _eval_unit(expr: IntExpr, tables: SymbolTables | None) -> int | None:
     if isinstance(expr, Literal):
         return expr.value
@@ -100,7 +81,7 @@ def bind_units(unit: ProgramUnit, tables: SymbolTables | None = None) -> list[Un
     live ranges never overlap.
     """
     bindings: list[UnitBinding] = []
-    for stmt, _ in _walk(unit):
+    for stmt, _ in walk(unit.statements):
         if isinstance(stmt, OpenStmt):
             number = _eval_unit(stmt.unit, tables)
             key: int | str = number if number is not None else expr_text(stmt.unit)
@@ -223,20 +204,23 @@ def analyze(
     unit: ProgramUnit,
     tables: SymbolTables,
     formats: dict[int, str],
-    options: AnalyzeOptions | None = None,
+    default_loop_count: int = 1,
 ) -> list[IoEvent]:
-    """Produce one IoEvent per READ/WRITE statement, in source order."""
-    options = options or AnalyzeOptions()
+    """Produce one IoEvent per READ/WRITE statement, in source order.
+
+    default_loop_count is the trip count assumed for a loop whose bounds the
+    constant table cannot resolve.  An AnalysisError raised while analyzing a
+    statement carries that statement's line.
+    """
     process = unit.name or "<main>"
     bindings = bind_units(unit, tables)
-    pseudo: dict[str, UnitBinding] = {}
-    placeholders: dict[int | str, UnitBinding] = {}
-    events: list[IoEvent] = []
+    # Bindings that no OPEN made: stdin, stdout and <unit-K> placeholders.
+    synthetic: dict[str, UnitBinding] = {}
 
-    def pseudo_binding(name: str, number: int) -> UnitBinding:
-        if name not in pseudo:
-            pseudo[name] = UnitBinding(number, name, None, 0, unit.end_line)
-        return pseudo[name]
+    def synthetic_binding(key: int | str, name: str) -> UnitBinding:
+        if name not in synthetic:
+            synthetic[name] = UnitBinding(key, name, None, 0, unit.end_line)
+        return synthetic[name]
 
     def live_binding(key: int | str, line: int) -> UnitBinding | None:
         best = None
@@ -248,36 +232,28 @@ def analyze(
                     best = binding
         return best
 
-    for stmt, path in _walk(unit):
-        if not isinstance(stmt, (ReadStmt, WriteStmt)):
-            continue
-        direction = "READ" if isinstance(stmt, ReadStmt) else "WRITE"
+    def event(stmt: IoStmt, loops: tuple[DoStmt, ...]) -> IoEvent:
+        direction = stmt.direction
         notes: list[Diagnostic] = []
 
-        if isinstance(stmt.unit, StarUnit):
-            binding = pseudo_binding(
-                STDIN_NAME if direction == "READ" else STDOUT_NAME,
-                5 if direction == "READ" else 6,
-            )
+        if isinstance(stmt.unit, StarUnit):  # unit 5 for READ, 6 for WRITE
+            number, binding = (5 if direction == "READ" else 6), None
         else:
             number = _eval_unit(stmt.unit, tables)
             key: int | str = number if number is not None else expr_text(stmt.unit)
             binding = live_binding(key, stmt.line)
-            if binding is None:
-                if number == 5 and direction == "READ":
-                    binding = pseudo_binding(STDIN_NAME, 5)
-                elif number == 6 and direction == "WRITE":
-                    binding = pseudo_binding(STDOUT_NAME, 6)
-                else:
-                    notes.append(Diagnostic(
-                        diag.UNKNOWN_UNIT,
-                        f"unit {key} has no live binding at line {stmt.line}",
-                        stmt.line,
-                    ))
-                    if key not in placeholders:
-                        placeholders[key] = UnitBinding(
-                            key, f"<unit-{key}>", None, 0, unit.end_line)
-                    binding = placeholders[key]
+        if binding is None:
+            if number == 5 and direction == "READ":
+                binding = synthetic_binding(5, STDIN_NAME)
+            elif number == 6 and direction == "WRITE":
+                binding = synthetic_binding(6, STDOUT_NAME)
+            else:
+                notes.append(Diagnostic(
+                    diag.UNKNOWN_UNIT,
+                    f"unit {key} has no live binding at line {stmt.line}",
+                    stmt.line,
+                ))
+                binding = synthetic_binding(key, f"<unit-{key}>")
 
         if isinstance(stmt.format, ListDirected):
             pairs = [(None, ())] * len(stmt.items)
@@ -288,11 +264,7 @@ def analyze(
                     raise MissingFormatLabel(stmt.format.value, stmt.line)
             else:
                 text = stmt.format.descriptor_text
-            try:
-                descriptors = parse_descriptors(text, notes)
-            except AnalysisError as err:
-                err.line = stmt.line
-                raise
+            descriptors = parse_descriptors(text, notes)
             pairs, reverted = pair_items(descriptors, len(stmt.items))
             if reverted:
                 notes.append(Diagnostic(
@@ -319,21 +291,31 @@ def analyze(
                 stmt.line,
             ))
 
-        mult = loop_multiplicity(path, tables, options.default_loop_count)
+        mult = loop_multiplicity(loops, tables, default_loop_count)
         if mult.defaulted:
             notes.append(Diagnostic(
                 diag.DEFAULT_LOOP_COUNT,
                 f"loop count {mult.symbolic} is not constant; default"
-                f" {options.default_loop_count} used per loop",
+                f" {default_loop_count} used per loop",
                 stmt.line,
             ))
         if stmt.conditional:
             mult = Multiplicity(mult.symbolic, mult.resolved, True, mult.defaulted)
 
-        events.append(IoEvent(
+        return IoEvent(
             direction, binding, stmt.format, tuple(items), mult,
             stmt.line, tuple(notes),
-        ))
+        )
+
+    events: list[IoEvent] = []
+    for stmt, loops in walk(unit.statements):
+        if isinstance(stmt, IoStmt):
+            try:
+                events.append(event(stmt, loops))
+            except AnalysisError as err:
+                if err.line is None:
+                    err.line = stmt.line
+                raise
     return events
 
 

@@ -23,10 +23,7 @@ _DIALECTS = (FIXED_FORM, FREE_FORM)
 
 class LexError(AnalysisError):
     def __init__(self, line: int, column: int, message: str):
-        super().__init__(f"{line}:{column}: {message}")
-        self.line = line
-        self.column = column
-        self.message = message
+        super().__init__(message, line, column)
 
 
 @dataclass(frozen=True)
@@ -163,6 +160,22 @@ def _finalize(builder: _Builder) -> _Statement:
     )
 
 
+def _leading_label(cells, lineno: int):
+    """Start a statement at a line's cells: leading blanks are dropped, and a
+    leading integer followed by a blank is taken as the statement label.
+    Returns the statement builder and the cells after the label."""
+    i = 0
+    while i < len(cells) and cells[i][0] == " ":
+        i += 1
+    j = i
+    while j < len(cells) and cells[j][0].isdigit():
+        j += 1
+    if j > i and j < len(cells) and cells[j][0] == " ":
+        label_text = "".join(c[0] for c in cells[i:j])
+        return _Builder(int(label_text), cells[i][1], cells[i][2], label_text), cells[j + 1:]
+    return _Builder(None, lineno, 1, ""), cells[i:]
+
+
 def _assemble_fixed(text: str) -> list[_Statement]:
     statements: list[_Statement] = []
     current: _Builder | None = None
@@ -185,19 +198,7 @@ def _assemble_fixed(text: str) -> list[_Statement]:
             # Ragged source: the statement starts in column 1.  A leading
             # integer followed by a space is still taken as the label.
             flush()
-            cells = _cells(line, lineno, 1, 72)
-            i = 0
-            while i < len(cells) and cells[i][0] == " ":
-                i += 1
-            j = i
-            while j < len(cells) and cells[j][0].isdigit():
-                j += 1
-            if j > i and j < len(cells) and cells[j][0] == " ":
-                label_text = "".join(c[0] for c in cells[i:j])
-                current = _Builder(int(label_text), cells[i][1], cells[i][2], label_text)
-                cells = cells[j + 1:]
-            else:
-                current = _Builder(None, lineno, 1, "")
+            current, cells = _leading_label(_cells(line, lineno, 1, 72), lineno)
             current.segments.append(cells)
         elif cont not in " 0" and not label_field.strip():
             if current is None:
@@ -246,22 +247,7 @@ def _assemble_free(text: str) -> list[_Statement]:
             cells = cells[i:]
         else:
             flush()
-            i = 0
-            while i < len(cells) and cells[i][0] == " ":
-                i += 1
-            label = None
-            label_line, label_col, label_text = lineno, 1, ""
-            j = i
-            while j < len(cells) and cells[j][0].isdigit():
-                j += 1
-            if j > i and j < len(cells) and cells[j][0] == " ":
-                label_text = "".join(c[0] for c in cells[i:j])
-                label = int(label_text)
-                label_line, label_col = cells[i][1], cells[i][2]
-                j += 1
-                i = j
-            current = _Builder(label, label_line, label_col, label_text)
-            cells = cells[i:]
+            current, cells = _leading_label(cells, lineno)
 
         # Scan for a comment and a trailing continuation ampersand, keeping
         # quote state so neither is recognized inside a string literal.
@@ -386,13 +372,18 @@ def _word_at(text: str, toks: list[_Tk], i: int) -> str | None:
     return None
 
 
-def _punct_at(toks: list[_Tk], i: int) -> str | None:
+def _punct_at(toks, i: int) -> str | None:
     if 0 <= i < len(toks) and toks[i].kind is TokenKind.PUNCTUATION:
         return toks[i].which
     return None
 
 
-def _match_paren(toks: list[_Tk], i_lparen: int) -> int | None:
+# _match_paren and _split_commas serve raw tokens and finished Tokens alike:
+# both carry .kind and .which.
+
+
+def _match_paren(toks, i_lparen: int) -> int | None:
+    """Index of the ')' that closes the '(' at i_lparen, or None."""
     depth = 0
     for j in range(i_lparen, len(toks)):
         which = _punct_at(toks, j)
@@ -403,6 +394,26 @@ def _match_paren(toks: list[_Tk], i_lparen: int) -> int | None:
             if depth == 0:
                 return j
     return None
+
+
+def _split_commas(toks: list) -> list[list]:
+    """Split a token run at the commas outside parentheses."""
+    parts: list[list] = []
+    depth = 0
+    current: list = []
+    for tok in toks:
+        which = tok.which if tok.kind is TokenKind.PUNCTUATION else None
+        if which == "LPAREN":
+            depth += 1
+        elif which == "RPAREN":
+            depth -= 1
+        if which == "COMMA" and depth == 0:
+            parts.append(current)
+            current = []
+        else:
+            current.append(tok)
+    parts.append(current)
+    return parts
 
 
 def _merge(toks: list[_Tk], i: int, kind, which) -> None:
@@ -421,20 +432,17 @@ def _classify_leading(stmt: _Statement, toks: list[_Tk], i: int) -> None:
     if nxt_punct == "EQUALS":
         return  # assignment: the leading word is a plain identifier
 
-    def set_kw(kind, which):
-        toks[i].kind = kind
-        toks[i].which = which
+    def set_kw(kind, which, at=i):
+        toks[at].kind = kind
+        toks[at].which = which
 
-    if w == "DOUBLE" and _word_at(text, toks, i + 1) == "PRECISION":
-        _merge(toks, i, TokenKind.DATA_TYPE_KEYWORD, "DOUBLE_PRECISION")
+    if w in DATA_TYPE_WORDS or (w == "DOUBLE" and _word_at(text, toks, i + 1) == "PRECISION"):
+        if w == "DOUBLE":
+            _merge(toks, i, TokenKind.DATA_TYPE_KEYWORD, "DOUBLE_PRECISION")
+        else:
+            set_kw(TokenKind.DATA_TYPE_KEYWORD, w)
         if _word_at(text, toks, i + 1) == "FUNCTION" and _word_at(text, toks, i + 2):
-            toks[i + 1].kind = TokenKind.CONTROL_KEYWORD
-            toks[i + 1].which = "FUNCTION"
-    elif w in DATA_TYPE_WORDS:
-        set_kw(TokenKind.DATA_TYPE_KEYWORD, w)
-        if _word_at(text, toks, i + 1) == "FUNCTION" and _word_at(text, toks, i + 2):
-            toks[i + 1].kind = TokenKind.CONTROL_KEYWORD
-            toks[i + 1].which = "FUNCTION"
+            set_kw(TokenKind.CONTROL_KEYWORD, "FUNCTION", i + 1)
     elif w in ("READ", "WRITE"):
         if nxt_punct == "LPAREN":
             close = _match_paren(toks, i + 1)
@@ -482,13 +490,11 @@ def _classify_leading(stmt: _Statement, toks: list[_Tk], i: int) -> None:
         if w == "ELSEIF" or _word_at(text, toks, i + 1) == "IF":
             j = i + 1 if w == "ELSEIF" else i + 2
             if w != "ELSEIF":
-                toks[i + 1].kind = TokenKind.CONTROL_KEYWORD
-                toks[i + 1].which = "IF"
+                set_kw(TokenKind.CONTROL_KEYWORD, "IF", i + 1)
             if _punct_at(toks, j) == "LPAREN":
                 close = _match_paren(toks, j)
                 if close is not None and _word_at(text, toks, close + 1) == "THEN" and close + 2 == len(toks):
-                    toks[close + 1].kind = TokenKind.CONTROL_KEYWORD
-                    toks[close + 1].which = "THEN"
+                    set_kw(TokenKind.CONTROL_KEYWORD, "THEN", close + 1)
     elif w == "IF":
         if nxt_punct == "LPAREN":
             close = _match_paren(toks, i + 1)
@@ -496,8 +502,7 @@ def _classify_leading(stmt: _Statement, toks: list[_Tk], i: int) -> None:
                 return
             set_kw(TokenKind.CONTROL_KEYWORD, "IF")
             if _word_at(text, toks, close + 1) == "THEN" and close + 2 == len(toks):
-                toks[close + 1].kind = TokenKind.CONTROL_KEYWORD
-                toks[close + 1].which = "THEN"
+                set_kw(TokenKind.CONTROL_KEYWORD, "THEN", close + 1)
             else:
                 # Logical IF: the remainder is itself a statement.
                 _classify_leading(stmt, toks, close + 1)
@@ -533,29 +538,16 @@ def _reclassify_inline_formats(stmt: _Statement, toks: list[_Tk]) -> None:
     close = _match_paren(toks, 1)
     if close is None:
         return
-    depth = 0
-    item_start = 2
-    items: list[tuple[int, int]] = []
-    for j in range(2, close):
-        which = _punct_at(toks, j)
-        if which == "LPAREN":
-            depth += 1
-        elif which == "RPAREN":
-            depth -= 1
-        elif which == "COMMA" and depth == 0:
-            items.append((item_start, j))
-            item_start = j + 1
-    items.append((item_start, close))
-    for idx, (s, e) in enumerate(items):
-        if idx == 1 and e - s == 1 and toks[s].kind is TokenKind.STRING_LITERAL:
-            toks[s].kind = TokenKind.FORMAT_DESCRIPTOR_TEXT
+    for idx, part in enumerate(_split_commas(toks[2:close])):
+        if idx == 1 and len(part) == 1 and part[0].kind is TokenKind.STRING_LITERAL:
+            part[0].kind = TokenKind.FORMAT_DESCRIPTOR_TEXT
         elif (
-            e - s == 3
-            and _word_at(stmt.text, toks, s) == "FMT"
-            and _punct_at(toks, s + 1) == "EQUALS"
-            and toks[s + 2].kind is TokenKind.STRING_LITERAL
+            len(part) == 3
+            and _word_at(stmt.text, part, 0) == "FMT"
+            and _punct_at(part, 1) == "EQUALS"
+            and part[2].kind is TokenKind.STRING_LITERAL
         ):
-            toks[s + 2].kind = TokenKind.FORMAT_DESCRIPTOR_TEXT
+            part[2].kind = TokenKind.FORMAT_DESCRIPTOR_TEXT
 
 
 def tokenize(unit: SourceUnit) -> list[Token]:

@@ -57,14 +57,14 @@ class Unresolved:
 
 
 class ConflictingDeclaration(AnalysisError):
-    def __init__(self, name: str):
-        super().__init__(f"conflicting declarations for {name}")
+    def __init__(self, name: str, line: int):
+        super().__init__(f"conflicting declarations for {name}", line)
         self.name = name
 
 
 class VariableConstantClash(AnalysisError):
-    def __init__(self, name: str):
-        super().__init__(f"{name} is used as both a variable and a constant")
+    def __init__(self, name: str, line: int):
+        super().__init__(f"{name} is used as both a variable and a constant", line)
         self.name = name
 
 
@@ -152,12 +152,12 @@ def build_tables(unit: ProgramUnit) -> SymbolTables:
                 existing = tables.find_variable(name, process)
                 if existing is not None:
                     if existing.data_type != dtype:
-                        raise ConflictingDeclaration(entity.name)
+                        raise ConflictingDeclaration(entity.name, stmt.line)
                     continue
                 constant = tables.find_constant(name)
                 if constant is not None:
                     if entity.dimensions:
-                        raise VariableConstantClash(entity.name)
+                        raise VariableConstantClash(entity.name, stmt.line)
                     constant.data_type = dtype
                     continue
                 tables.variables.append(
@@ -166,11 +166,11 @@ def build_tables(unit: ProgramUnit) -> SymbolTables:
             for raw_name, value in stmt.assignments:
                 name = raw_name.upper()
                 if tables.find_constant(name) is not None:
-                    raise ConflictingDeclaration(raw_name)
+                    raise ConflictingDeclaration(raw_name, stmt.line)
                 declared = tables.find_variable(name, process)
                 if declared is not None:
                     if declared.dimensions:
-                        raise VariableConstantClash(raw_name)
+                        raise VariableConstantClash(raw_name, stmt.line)
                     dtype = declared.data_type
                     tables.variables.remove(declared)
                 elif isinstance(value, str):

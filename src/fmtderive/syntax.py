@@ -11,19 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .diagnostics import AnalysisError
-from .lexer import Token, TokenKind
+from .lexer import Token, TokenKind, _match_paren, _split_commas
 
 
 class ParseError(AnalysisError):
     def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-        self.message = message
+        super().__init__(message, line)
 
 
 class DuplicateFormatLabel(AnalysisError):
-    def __init__(self, label: int):
-        super().__init__(f"duplicate FORMAT label {label}")
+    def __init__(self, label: int, line: int):
+        super().__init__(f"duplicate FORMAT label {label}", line)
         self.label = label
 
 
@@ -150,17 +148,8 @@ class CloseStmt:
 
 
 @dataclass
-class ReadStmt:
-    unit: UnitSpec
-    format: FormatRef
-    items: list[IoItem]
-    label: int | None = None
-    conditional: bool = field(default=False, compare=False)
-    line: int = field(default=0, compare=False)
-
-
-@dataclass
-class WriteStmt:
+class IoStmt:
+    direction: str  # READ or WRITE
     unit: UnitSpec
     format: FormatRef
     items: list[IoItem]
@@ -202,8 +191,8 @@ class OtherStmt:
 
 
 Stmt = (
-    DeclStmt | ParameterStmt | OpenStmt | CloseStmt | ReadStmt | WriteStmt
-    | FormatStmt | DoStmt | ContinueStmt | OtherStmt
+    DeclStmt | ParameterStmt | OpenStmt | CloseStmt | IoStmt | FormatStmt
+    | DoStmt | ContinueStmt | OtherStmt
 )
 
 ANONYMOUS_MAIN = "anonymous-main"
@@ -217,12 +206,18 @@ class ProgramUnit:
     end_line: int = field(default=0, compare=False)
 
 
+def walk(statements: list[Stmt], loops: tuple[DoStmt, ...] = ()):
+    """Yield (statement, enclosing DO loops, outermost first) in source order,
+    descending into DO bodies."""
+    for stmt in statements:
+        yield stmt, loops
+        if isinstance(stmt, DoStmt):
+            yield from walk(stmt.body, loops + (stmt,))
+
+
 def flatten(statements: list[Stmt]):
     """Yield statements in source order, descending into DO bodies."""
-    for stmt in statements:
-        yield stmt
-        if isinstance(stmt, DoStmt):
-            yield from flatten(stmt.body)
+    return (stmt for stmt, _ in walk(statements))
 
 
 # ---------------------------------------------------------------------------
@@ -232,36 +227,6 @@ def flatten(statements: list[Stmt]):
 
 def _is_punct(tok: Token | None, which: str) -> bool:
     return tok is not None and tok.kind is TokenKind.PUNCTUATION and tok.which == which
-
-
-def _match_paren(toks: list[Token], i_lparen: int) -> int | None:
-    depth = 0
-    for j in range(i_lparen, len(toks)):
-        if _is_punct(toks[j], "LPAREN"):
-            depth += 1
-        elif _is_punct(toks[j], "RPAREN"):
-            depth -= 1
-            if depth == 0:
-                return j
-    return None
-
-
-def _split_commas(toks: list[Token]) -> list[list[Token]]:
-    parts: list[list[Token]] = []
-    depth = 0
-    current: list[Token] = []
-    for tok in toks:
-        if _is_punct(tok, "LPAREN"):
-            depth += 1
-        elif _is_punct(tok, "RPAREN"):
-            depth -= 1
-        if _is_punct(tok, "COMMA") and depth == 0:
-            parts.append(current)
-            current = []
-        else:
-            current.append(tok)
-    parts.append(current)
-    return parts
 
 
 def _string_value(tok: Token) -> str:
@@ -455,31 +420,34 @@ def _parse_param_value(toks: list[Token], line: int) -> object:
     return _parse_int_expr(toks, line)
 
 
-def _keyword_parts(parts: list[list[Token]]) -> tuple[list[list[Token]], dict[str, list[Token]]]:
+def _control_list(toks: list[Token], line: int, verb: str):
+    """Split the parenthesized control list that follows an OPEN, CLOSE, READ
+    or WRITE keyword.  Returns the index of its closing ')', the non-empty
+    positional parts, the KEY=value parts by key, and the unit's tokens."""
+    close = _match_paren(toks, 1) if _is_punct(toks[1] if len(toks) > 1 else None, "LPAREN") else None
+    if close is None:
+        raise ParseError(line, f"malformed {verb} statement")
     positional: list[list[Token]] = []
     keywords: dict[str, list[Token]] = {}
-    for part in parts:
+    for part in _split_commas(toks[2:close]):
         if (
             len(part) >= 3
             and part[0].kind is TokenKind.IDENTIFIER
             and _is_punct(part[1], "EQUALS")
         ):
             keywords[part[0].lexeme.upper()] = part[2:]
-        else:
+        elif part:
             positional.append(part)
-    return positional, keywords
+    unit_toks = keywords.get("UNIT") or (positional[0] if positional else None)
+    if not unit_toks:
+        raise ParseError(line, f"{verb} without a unit")
+    return close, positional, keywords, unit_toks
 
 
 def _parse_open(toks: list[Token], line: int) -> OpenStmt:
-    close = _match_paren(toks, 1)
-    if close is None or not _is_punct(toks[1], "LPAREN"):
-        raise ParseError(line, "malformed OPEN statement")
+    close, _, keywords, unit_toks = _control_list(toks, line, "OPEN")
     if close != len(toks) - 1:
         raise ParseError(line, "unexpected tokens after OPEN")
-    positional, keywords = _keyword_parts(_split_commas(toks[2:close]))
-    unit_toks = keywords.get("UNIT") or (positional[0] if positional and positional[0] else None)
-    if not unit_toks:
-        raise ParseError(line, "OPEN without a unit")
     unit = _parse_int_expr(unit_toks, line)
     file_name = file_symbol = status = None
     file_toks = keywords.get("FILE")
@@ -500,13 +468,7 @@ def _parse_open(toks: list[Token], line: int) -> OpenStmt:
 
 
 def _parse_close(toks: list[Token], line: int) -> CloseStmt:
-    close = _match_paren(toks, 1)
-    if close is None or not _is_punct(toks[1], "LPAREN"):
-        raise ParseError(line, "malformed CLOSE statement")
-    positional, keywords = _keyword_parts(_split_commas(toks[2:close]))
-    unit_toks = keywords.get("UNIT") or (positional[0] if positional and positional[0] else None)
-    if not unit_toks:
-        raise ParseError(line, "CLOSE without a unit")
+    *_, unit_toks = _control_list(toks, line, "CLOSE")
     return CloseStmt(_parse_int_expr(unit_toks, line), line=line)
 
 
@@ -525,7 +487,7 @@ def _parse_format_ref(toks: list[Token], line: int) -> FormatRef:
     raise ParseError(line, "unsupported format specifier")
 
 
-def _parse_io(toks: list[Token], line: int, conditional: bool) -> ReadStmt | WriteStmt:
+def _parse_io(toks: list[Token], line: int, conditional: bool) -> IoStmt:
     direction = toks[0].which
     if _is_punct(toks[1] if len(toks) > 1 else None, "ASTERISK"):
         # READ *, list: list-directed transfer on the standard unit.
@@ -533,19 +495,9 @@ def _parse_io(toks: list[Token], line: int, conditional: bool) -> ReadStmt | Wri
         if rest and _is_punct(rest[0], "COMMA"):
             rest = rest[1:]
         items = _parse_io_items(rest, line)
-        cls = ReadStmt if direction == "READ" else WriteStmt
-        return cls(StarUnit(), ListDirected(), items, conditional=conditional, line=line)
-    if not _is_punct(toks[1] if len(toks) > 1 else None, "LPAREN"):
-        raise ParseError(line, f"malformed {direction} statement")
-    close = _match_paren(toks, 1)
-    if close is None:
-        raise ParseError(line, f"unbalanced parentheses in {direction}")
-    positional, keywords = _keyword_parts(_split_commas(toks[2:close]))
-    positional = [p for p in positional if p]
-
-    unit_toks = keywords.get("UNIT") or (positional[0] if positional else None)
-    if not unit_toks:
-        raise ParseError(line, f"{direction} without a unit")
+        return IoStmt(direction, StarUnit(), ListDirected(), items,
+                      conditional=conditional, line=line)
+    close, positional, keywords, unit_toks = _control_list(toks, line, direction)
     unit: UnitSpec
     if len(unit_toks) == 1 and _is_punct(unit_toks[0], "ASTERISK"):
         unit = StarUnit()
@@ -558,8 +510,7 @@ def _parse_io(toks: list[Token], line: int, conditional: bool) -> ReadStmt | Wri
     fmt: FormatRef = ListDirected() if fmt_toks is None else _parse_format_ref(fmt_toks, line)
 
     items = _parse_io_items(toks[close + 1:], line)
-    cls = ReadStmt if direction == "READ" else WriteStmt
-    return cls(unit, fmt, items, conditional=conditional, line=line)
+    return IoStmt(direction, unit, fmt, items, conditional=conditional, line=line)
 
 
 def _parse_io_items(toks: list[Token], line: int) -> list[IoItem]:
@@ -612,7 +563,7 @@ def _parse_format_stmt(toks: list[Token], line: int, label: int | None) -> Forma
     return FormatStmt(label, text, line=line)
 
 
-def _parse_do_header(toks: list[Token], line: int):
+def _parse_do_header(toks: list[Token], line: int, own_label: int | None) -> DoStmt:
     i = 1
     terminal: int | None = None
     if i < len(toks) and toks[i].kind is TokenKind.INTEGER_CONSTANT:
@@ -629,27 +580,12 @@ def _parse_do_header(toks: list[Token], line: int):
     start = _parse_int_expr(parts[0], line)
     stop = _parse_int_expr(parts[1], line)
     step = _parse_int_expr(parts[2], line) if len(parts) == 3 else None
-    return terminal, var, start, stop, step
+    return DoStmt(terminal, var, start, stop, step, [], own_label=own_label, line=line)
 
 
 # ---------------------------------------------------------------------------
 # The parser proper
 # ---------------------------------------------------------------------------
-
-
-class _OpenDo:
-    __slots__ = ("terminal", "var", "start", "stop", "step",
-                 "own_label", "line", "body")
-
-    def __init__(self, terminal, var, start, stop, step, own_label, line):
-        self.terminal = terminal
-        self.var = var
-        self.start = start
-        self.stop = stop
-        self.step = step
-        self.own_label = own_label
-        self.line = line
-        self.body: list[Stmt] = []
 
 
 def _split_statements(tokens: list[Token]) -> list[list[Token]]:
@@ -677,26 +613,20 @@ def parse(tokens: list[Token]) -> ProgramUnit:
     unit = ProgramUnit(None, ANONYMOUS_MAIN, [])
     if tokens:
         unit.end_line = max(tok.line for tok in tokens)
-    do_stack: list[_OpenDo] = []
+    do_stack: list[DoStmt] = []  # open loops, innermost last
     if_depth = 0
     header_seen = False
 
     def current_body() -> list[Stmt]:
         return do_stack[-1].body if do_stack else unit.statements
 
-    def close_loops(label: int | None):
-        while label is not None and do_stack and do_stack[-1].terminal == label:
-            od = do_stack.pop()
-            node = DoStmt(od.terminal, od.var, od.start, od.stop, od.step,
-                          od.body, own_label=od.own_label, line=od.line)
-            current_body().append(node)
+    def close_innermost():
+        loop = do_stack.pop()
+        current_body().append(loop)
 
-    def pop_unlabeled():
-        if do_stack and do_stack[-1].terminal is None:
-            od = do_stack.pop()
-            node = DoStmt(None, od.var, od.start, od.stop, od.step,
-                          od.body, own_label=od.own_label, line=od.line)
-            current_body().append(node)
+    def close_loops(label: int | None):
+        while label is not None and do_stack and do_stack[-1].label == label:
+            close_innermost()
 
     def append(stmt: Stmt, label: int | None):
         if not isinstance(stmt, (FormatStmt, DoStmt, ContinueStmt)):
@@ -735,8 +665,7 @@ def parse(tokens: list[Token]) -> ProgramUnit:
         elif kind is TokenKind.CONTROL_KEYWORD and which == "PARAMETER":
             append(_parse_parameter(stmt_toks, line), label)
         elif kind is TokenKind.CONTROL_KEYWORD and which == "DO":
-            terminal, var, start, stop, step = _parse_do_header(stmt_toks, line)
-            do_stack.append(_OpenDo(terminal, var, start, stop, step, label, line))
+            do_stack.append(_parse_do_header(stmt_toks, line, label))
         elif kind is TokenKind.CONTROL_KEYWORD and which == "CONTINUE":
             append(ContinueStmt(label, line=line), label)
         elif kind is TokenKind.CONTROL_KEYWORD and which in ("PROGRAM", "SUBROUTINE", "FUNCTION"):
@@ -778,8 +707,8 @@ def parse(tokens: list[Token]) -> ProgramUnit:
         else:
             raw = _raw_text(stmt_toks)
             append(OtherStmt(raw, line=line), label)
-            if raw.upper().replace(" ", "") == "ENDDO":
-                pop_unlabeled()
+            if raw.upper().replace(" ", "") == "ENDDO" and do_stack and do_stack[-1].label is None:
+                close_innermost()
 
     if do_stack:
         raise ParseError(do_stack[-1].line, "unterminated DO loop")
@@ -792,7 +721,7 @@ def attach_formats(unit: ProgramUnit) -> dict[int, str]:
     for stmt in flatten(unit.statements):
         if isinstance(stmt, FormatStmt):
             if stmt.label in formats:
-                raise DuplicateFormatLabel(stmt.label)
+                raise DuplicateFormatLabel(stmt.label, stmt.line)
             formats[stmt.label] = stmt.descriptor_text
     return formats
 
@@ -830,6 +759,16 @@ def _format_ref_text(fmt: FormatRef) -> str:
     return _quote(f"({fmt.descriptor_text})")
 
 
+def _do_head(stmt: DoStmt) -> str:
+    head = f"{stmt.own_label} DO " if stmt.own_label is not None else "DO "
+    if stmt.label is not None:
+        head += f"{stmt.label} "
+    head += f"{stmt.var} = {expr_text(stmt.start)}, {expr_text(stmt.stop)}"
+    if stmt.step is not None:
+        head += f", {expr_text(stmt.step)}"
+    return head
+
+
 def canonical_text(stmt: Stmt) -> str:
     """Render a statement back to parseable text (free-form)."""
     prefix = ""
@@ -862,26 +801,16 @@ def canonical_text(stmt: Stmt) -> str:
         return prefix + f"OPEN ({', '.join(parts)})"
     if isinstance(stmt, CloseStmt):
         return prefix + f"CLOSE ({expr_text(stmt.unit)})"
-    if isinstance(stmt, (ReadStmt, WriteStmt)):
-        verb = "READ" if isinstance(stmt, ReadStmt) else "WRITE"
+    if isinstance(stmt, IoStmt):
         unit = "*" if isinstance(stmt.unit, StarUnit) else expr_text(stmt.unit)
-        head = f"{verb} ({unit}, {_format_ref_text(stmt.format)})"
+        head = f"{stmt.direction} ({unit}, {_format_ref_text(stmt.format)})"
         if stmt.items:
             head += " " + ", ".join(_item_text(i) for i in stmt.items)
         return prefix + head
     if isinstance(stmt, FormatStmt):
         return f"{stmt.label} FORMAT ({stmt.descriptor_text})"
     if isinstance(stmt, DoStmt):
-        own = f"{stmt.own_label} " if stmt.own_label is not None else ""
-        head = own + "DO "
-        if stmt.label is not None:
-            head += f"{stmt.label} "
-        head += f"{stmt.var} = {expr_text(stmt.start)}, {expr_text(stmt.stop)}"
-        if stmt.step is not None:
-            head += f", {expr_text(stmt.step)}"
-        lines = [head]
-        lines.extend(canonical_text(s) for s in stmt.body)
-        return "\n".join(lines)
+        return "\n".join([_do_head(stmt), *(canonical_text(s) for s in stmt.body)])
     if isinstance(stmt, ContinueStmt):
         return (f"{stmt.label} " if stmt.label is not None else "") + "CONTINUE"
     if isinstance(stmt, OtherStmt):
@@ -892,17 +821,10 @@ def canonical_text(stmt: Stmt) -> str:
 def dump_ast(unit: ProgramUnit) -> str:
     """Indented statement tree for --dump-ast."""
     lines = [f"{unit.kind} {unit.name or ''}".rstrip()]
-
-    def walk(stmts: list[Stmt], depth: int):
-        pad = "  " * depth
-        for stmt in stmts:
-            if isinstance(stmt, DoStmt):
-                head = canonical_text(stmt).split("\n", 1)[0]
-                lines.append(f"{pad}{head}")
-                walk(stmt.body, depth + 1)
-            else:
-                tag = type(stmt).__name__
-                lines.append(f"{pad}{tag}: {canonical_text(stmt)}")
-
-    walk(unit.statements, 1)
+    for stmt, loops in walk(unit.statements):
+        pad = "  " * (len(loops) + 1)
+        if isinstance(stmt, DoStmt):
+            lines.append(pad + _do_head(stmt))
+        else:
+            lines.append(f"{pad}{type(stmt).__name__}: {canonical_text(stmt)}")
     return "\n".join(lines)

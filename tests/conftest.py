@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from fmtderive.ioflow import AnalyzeOptions, analyze
+from fmtderive.ioflow import analyze
 from fmtderive.lexer import FIXED_FORM, SourceUnit, tokenize
 from fmtderive.symbols import build_tables
 from fmtderive.syntax import attach_formats, parse
@@ -65,7 +65,7 @@ def run_pipeline(source: str, dialect: str = FIXED_FORM, default_loop_count: int
     program = parse(tokenize(unit))
     tables = build_tables(program)
     formats = attach_formats(program)
-    events = analyze(program, tables, formats, AnalyzeOptions(default_loop_count))
+    events = analyze(program, tables, formats, default_loop_count)
     return program, tables, events
 
 

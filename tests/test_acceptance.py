@@ -16,7 +16,7 @@ from fmtderive.symbols import (
     DataType, INTEGER, REAL, build_tables, implicit_type, lookup_type,
 )
 from fmtderive.syntax import (
-    IoItem, OtherStmt, ReadStmt, WriteStmt, flatten,
+    IoItem, IoStmt, OtherStmt, flatten,
 )
 
 from conftest import MODEL_SOURCE, TOLERANT_SOURCE, run_pipeline
@@ -143,7 +143,7 @@ def test_criterion_7_tolerant_parsing():
         assert head not in ("OPEN", "CLOSE", "FORMAT")
         assert not head.startswith(("READ ", "WRITE ", "INTEGER", "REAL ", "PARAMETER"))
 
-    io_events = [s for s in statements if isinstance(s, (ReadStmt, WriteStmt))]
+    io_events = [s for s in statements if isinstance(s, IoStmt)]
     assert len(io_events) == len(events) == 2
     conditional, terminal = events
     assert conditional.multiplicity.conditional

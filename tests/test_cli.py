@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from xml.dom import minidom
 
 import pytest
 
@@ -45,7 +46,7 @@ def test_malformed_open_exits_one(tmp_path, capsys):
     assert run_cli(["parse", str(bad), "-o", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "bad.f" in err
-    assert "line 2" in err
+    assert "bad.f:2:" in err
 
 
 def test_unreadable_input_exits_one(tmp_path, capsys):
@@ -87,7 +88,7 @@ def test_dump_flags(model_file, tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "read-write-keyword(READ)" in out          # tokens
-    assert "ReadStmt" in out                          # ast
+    assert "IoStmt: READ (2, *)" in out               # ast
     assert "N = 136" in out                           # symbols
     assert "line 8: READ ODTIME.PRN x18496" in out    # events
     assert "1:7 control-keyword(PARAMETER) PARAMETER" in out
@@ -135,3 +136,59 @@ def test_module_entry_point(model_file, tmp_path):
     )
     assert result.returncode == 0
     assert (tmp_path / "o" / "Basic.TXT.format.xml").exists()
+
+
+@pytest.mark.parametrize("name, source, location, message", [
+    ("q.f",
+     "      OPEN(3, FILE='Q.TXT')\n      WRITE(3,100) X\n  100 FORMAT(Q4)\n",
+     ":2", "position 0: unknown edit descriptor 'Q'"),
+    ("dup.f",
+     "      WRITE(6,100) X\n  100 FORMAT(I4)\n  100 FORMAT(F8.2)\n",
+     ":3", "duplicate FORMAT label 100"),
+    ("conflict.f",
+     "      INTEGER K\n      REAL K\n",
+     ":2", "conflicting declarations for K"),
+    ("clash.f",
+     "      PARAMETER (N=3)\n      INTEGER N(4)\n",
+     ":2", "N is used as both a variable and a constant"),
+    ("undeclared.f",
+     "      IMPLICIT NONE\n      INTEGER I\n      WRITE(6,*) I, Q\n",
+     ":3", "Q is not declared and IMPLICIT NONE is in force"),
+    ("missing.f",
+     "      X = 1\n      WRITE(6,900) X\n",
+     ":2", "FORMAT label 900 is never defined"),
+    ("lex.f",
+     "      OPEN (2, FILE='UNTERMINATED\n",
+     ":1:21", "unterminated string literal"),
+], ids=["format", "duplicate-label", "conflict", "clash", "undeclared", "missing-label", "lex"])
+def test_errors_name_file_line_and_column(tmp_path, capsys, name, source, location, message):
+    path = tmp_path / name
+    path.write_text(source)
+    assert run_cli(["parse", str(path), "-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"{path}{location}: error: {message}\n"
+
+
+def test_negative_default_loop_count_is_usage_error(tmp_path, capsys):
+    src = tmp_path / "var.f"
+    src.write_text("      DO 10 I=1,M\n      WRITE(6,*) I\n   10 CONTINUE\n")
+    out = tmp_path / "out"
+    assert run_cli(["parse", str(src), "-o", str(out), "--default-loop-count", "-3"]) == 2
+    assert "--default-loop-count" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli(["parse", str(src), "-o", str(out), "--default-loop-count", "0"]) == 0
+    assert 'number="M" resolved="0"' in (out / "stdout.format.xml").read_text()
+
+
+def test_latin1_source_gives_ascii_xml(tmp_path):
+    src = tmp_path / "cafe.f"
+    src.write_bytes(
+        "C     Résumé of the café model\n"
+        "      OPEN(3, FILE='CAFÉ.DAT')\n"
+        "      WRITE(3,*) X  ! née\n"
+        "      CLOSE(3)\n".encode("latin-1"))
+    out = tmp_path / "out"
+    assert run_cli(["parse", str(src), "-o", str(out)]) == 0
+    raw = (out / "CAFÉ.DAT.format.xml").read_bytes()
+    assert raw.isascii()
+    assert b'file="CAF&#201;.DAT"' in raw
+    assert minidom.parseString(raw).documentElement.getAttribute("file") == "CAFÉ.DAT"

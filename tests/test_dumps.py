@@ -1,0 +1,34 @@
+"""Golden tests for --dump-ast and --dump-events.
+
+They pin the statement walker's full nesting and order: END DO loops, label-
+terminated loops sharing one terminal label, block IF arms and FORMAT
+statements inside loop bodies.  The document summary lines are part of the
+golden, with the output directory written as <out>.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from fmtderive.emit import run_cli
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+SOURCES = {
+    "odtime": (ROOT / "docs" / "examples" / "odtime.f", "fixed"),
+    "nested": (GOLDEN / "nested.f90", "free"),
+}
+
+
+@pytest.mark.parametrize("dump", ["ast", "events"])
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_dump_matches_golden(name, dump, tmp_path, capsys):
+    source, dialect = SOURCES[name]
+    out = tmp_path / "out"
+    code = run_cli([
+        "parse", str(source), "--dialect", dialect, "-o", str(out), f"--dump-{dump}",
+    ])
+    assert code == 0
+    stdout = capsys.readouterr().out.replace(str(out), "<out>")
+    assert stdout == (GOLDEN / f"{name}.dump-{dump}.txt").read_text()

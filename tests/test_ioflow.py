@@ -11,7 +11,7 @@ from fmtderive.symbols import (
     DOUBLE_PRECISION, INTEGER, SymbolTables, build_tables,
 )
 from fmtderive.syntax import (
-    DoStmt, Label, ListDirected, Literal, ReadStmt, SymbolRef, WriteStmt,
+    DoStmt, IoStmt, Label, ListDirected, Literal, SymbolRef,
     flatten, parse,
 )
 
@@ -247,7 +247,7 @@ def test_event_count_matches_statement_count(model_source, tolerant_source):
         program, _, events = run_pipeline(src)
         io_statements = [
             s for s in flatten(program.statements)
-            if isinstance(s, (ReadStmt, WriteStmt))
+            if isinstance(s, IoStmt)
         ]
         assert len(events) == len(io_statements)
 

@@ -3,10 +3,10 @@ import pytest
 from fmtderive.lexer import FIXED_FORM, FREE_FORM, SourceUnit, tokenize
 from fmtderive.syntax import (
     ANONYMOUS_MAIN, CloseStmt, ContinueStmt, DeclStmt, DoStmt,
-    DuplicateFormatLabel, FormatStmt, Inline, IoItem, Label, ListDirected,
-    Literal, OpenStmt, OtherStmt, ParameterStmt, ParseError, Product,
-    ReadStmt, StarUnit, SymbolRef, WriteStmt, attach_formats, canonical_text,
-    expr_text, flatten, parse,
+    DuplicateFormatLabel, FormatStmt, Inline, IoItem, IoStmt, Label,
+    ListDirected, Literal, OpenStmt, OtherStmt, ParameterStmt, ParseError,
+    Product, StarUnit, SymbolRef, attach_formats, canonical_text, expr_text,
+    flatten, parse,
 )
 
 
@@ -37,7 +37,7 @@ def test_shared_label_double_loop_nests():
     assert isinstance(inner, DoStmt)
     assert inner.var == "J"
     read, cont = inner.body
-    assert isinstance(read, ReadStmt)
+    assert isinstance(read, IoStmt) and read.direction == "READ"
     assert read.format == ListDirected()
     assert read.items == [
         IoItem("OZONE", (SymbolRef("I"),)),
@@ -70,7 +70,7 @@ def test_labeled_terminal_statement_stays_inside_loop():
     loop = unit.statements[0]
     assert isinstance(loop, DoStmt)
     assert len(loop.body) == 1
-    assert isinstance(loop.body[0], WriteStmt)
+    assert isinstance(loop.body[0], IoStmt) and loop.body[0].direction == "WRITE"
 
 
 def test_end_do_terminates_unlabeled_loop():
@@ -82,7 +82,7 @@ def test_end_do_terminates_unlabeled_loop():
     loop = unit.statements[0]
     assert isinstance(loop, DoStmt)
     assert loop.label is None
-    assert isinstance(loop.body[0], WriteStmt)
+    assert isinstance(loop.body[0], IoStmt) and loop.body[0].direction == "WRITE"
     assert isinstance(loop.body[1], OtherStmt)
 
 
@@ -120,20 +120,20 @@ def test_parameter_statement():
 
 def test_read_with_label_format():
     stmt = parse_src("      READ (3,200) A, B").statements[0]
-    assert isinstance(stmt, ReadStmt)
+    assert isinstance(stmt, IoStmt) and stmt.direction == "READ"
     assert stmt.format == Label(200)
 
 
 def test_write_star_unit_and_inline_format():
     stmt = parse_src("      WRITE(*,'(1X,I4)') K").statements[0]
-    assert isinstance(stmt, WriteStmt)
+    assert isinstance(stmt, IoStmt) and stmt.direction == "WRITE"
     assert stmt.unit == StarUnit()
     assert stmt.format == Inline("1X,I4")
 
 
 def test_read_star_shorthand():
     stmt = parse_src("      READ *, A, B(2)").statements[0]
-    assert isinstance(stmt, ReadStmt)
+    assert isinstance(stmt, IoStmt) and stmt.direction == "READ"
     assert stmt.unit == StarUnit()
     assert stmt.format == ListDirected()
     assert stmt.items == [IoItem("A"), IoItem("B", (Literal(2),))]
@@ -159,7 +159,7 @@ def test_malformed_open_raises_with_line():
 
 def test_logical_if_io_is_conditional():
     stmt = parse_src("      IF (X .GT. 0.0) WRITE(6,*) X").statements[0]
-    assert isinstance(stmt, WriteStmt)
+    assert isinstance(stmt, IoStmt) and stmt.direction == "WRITE"
     assert stmt.conditional
 
 
@@ -170,7 +170,7 @@ def test_block_if_marks_io_conditional():
         "      ENDIF\n"
         "      WRITE(6,*) Y\n"
     )
-    first, second = [s for s in unit.statements if isinstance(s, WriteStmt)]
+    first, second = [s for s in unit.statements if isinstance(s, IoStmt) and s.direction == "WRITE"]
     assert first.conditional
     assert not second.conditional
 
@@ -259,8 +259,7 @@ def test_round_trip_do_loop():
 
 
 def test_corpus_round_trip(model_program):
-    relevant = (DeclStmt, ParameterStmt, OpenStmt, CloseStmt, ReadStmt,
-                WriteStmt, FormatStmt)
+    relevant = (DeclStmt, ParameterStmt, OpenStmt, CloseStmt, IoStmt, FormatStmt)
     for stmt in model_program.statements:
         if isinstance(stmt, relevant + (DoStmt,)):
             again = parse_src(canonical_text(stmt), FREE_FORM).statements[0]
