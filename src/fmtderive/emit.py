@@ -165,29 +165,34 @@ def process_source(
     """
     if out is None:
         out = sys.stdout
+    encoding = getattr(out, "encoding", None) or "utf-8"
+
+    def say(text: str) -> None:
+        # Characters the stream cannot encode are written as backslash escapes.
+        print(text.encode(encoding, "backslashreplace").decode(encoding), file=out)
+
     unit = SourceUnit(path, text, FIXED_FORM if args.dialect == "fixed" else FREE_FORM)
     tokens = tokenize(unit)
     if args.dump_tokens:
         for tok in tokens:
-            print(f"{tok.line}:{tok.column} {describe_token(tok)} {tok.lexeme}", file=out)
+            say(f"{tok.line}:{tok.column} {describe_token(tok)} {tok.lexeme}")
     program = parse(tokens)
     if args.dump_ast:
-        print(dump_ast(program), file=out)
+        say(dump_ast(program))
     formats = attach_formats(program)
     tables = build_tables(program)
     if args.dump_symbols:
-        print(dump_symbols(tables), file=out)
+        say(dump_symbols(tables))
     events = analyze(program, tables, formats, args.default_loop_count)
     if args.dump_events:
-        print(dump_events(events), file=out)
+        say(dump_events(events))
 
     written = []
     for doc in build_docs(events):
         target = out_dir / _doc_file_name(doc.file_name)
         # Non-ASCII text from a Latin-1 source becomes character references.
         target.write_text(serialize(doc), encoding="ascii", errors="xmlcharrefreplace")
-        print(f"{doc.file_name}: {doc.direction}, {len(doc.groups)} group(s)"
-              f" -> {target}", file=out)
+        say(f"{doc.file_name}: {doc.direction}, {len(doc.groups)} group(s) -> {target}")
         written.append(target)
     return written
 

@@ -74,17 +74,23 @@ def _eval_unit(expr: IntExpr, tables: SymbolTables | None) -> int | None:
 
 
 def bind_units(unit: ProgramUnit, tables: SymbolTables | None = None) -> list[UnitBinding]:
-    """Derive unit-to-file bindings from OPEN/CLOSE statements.
+    """Derive unit-to-file bindings from OPEN/CLOSE statements, one per OPEN
+    in statement order.
 
-    CLOSE closes the most recent live binding of its unit; bindings still
-    live at the end of the program are closed at the unit's last line, so
-    live ranges never overlap.
+    OPEN and CLOSE close the live binding of their unit; bindings still live
+    at the end of the program are closed at the unit's last line, so live
+    ranges never overlap.
     """
     bindings: list[UnitBinding] = []
+    live: dict[int | str, UnitBinding] = {}  # unit -> its open binding
     for stmt, _ in walk(unit.statements):
+        if not isinstance(stmt, (OpenStmt, CloseStmt)):
+            continue
+        number = _eval_unit(stmt.unit, tables)
+        key: int | str = number if number is not None else expr_text(stmt.unit)
+        if key in live:
+            live.pop(key).closed_at = stmt.line
         if isinstance(stmt, OpenStmt):
-            number = _eval_unit(stmt.unit, tables)
-            key: int | str = number if number is not None else expr_text(stmt.unit)
             notes: list[Diagnostic] = []
             if stmt.file_name is not None:
                 name = stmt.file_name
@@ -101,21 +107,10 @@ def bind_units(unit: ProgramUnit, tables: SymbolTables | None = None) -> list[Un
                     ))
             else:
                 name = f"<unit-{key}>"
-            for binding in bindings:
-                if binding.unit == key and binding.closed_at is None:
-                    binding.closed_at = stmt.line
-            bindings.append(UnitBinding(
-                key, name, stmt.status, stmt.line, None, tuple(notes)))
-        elif isinstance(stmt, CloseStmt):
-            number = _eval_unit(stmt.unit, tables)
-            key = number if number is not None else expr_text(stmt.unit)
-            for binding in reversed(bindings):
-                if binding.unit == key and binding.closed_at is None:
-                    binding.closed_at = stmt.line
-                    break
-    for binding in bindings:
-        if binding.closed_at is None:
-            binding.closed_at = unit.end_line
+            live[key] = UnitBinding(key, name, stmt.status, stmt.line, None, tuple(notes))
+            bindings.append(live[key])
+    for binding in live.values():
+        binding.closed_at = unit.end_line
     return bindings
 
 
@@ -213,7 +208,10 @@ def analyze(
     statement carries that statement's line.
     """
     process = unit.name or "<main>"
-    bindings = bind_units(unit, tables)
+    # Statements are walked in source order, so the binding a READ/WRITE
+    # uses is the one its unit's latest OPEN made, unless it was closed.
+    bindings = iter(bind_units(unit, tables))
+    opened: dict[int | str, UnitBinding] = {}  # unit -> its latest OPEN's binding
     # Bindings that no OPEN made: stdin, stdout and <unit-K> placeholders.
     synthetic: dict[str, UnitBinding] = {}
 
@@ -221,16 +219,6 @@ def analyze(
         if name not in synthetic:
             synthetic[name] = UnitBinding(key, name, None, 0, unit.end_line)
         return synthetic[name]
-
-    def live_binding(key: int | str, line: int) -> UnitBinding | None:
-        best = None
-        for binding in bindings:
-            if binding.unit != key:
-                continue
-            if binding.opened_at <= line and (binding.closed_at is None or line <= binding.closed_at):
-                if best is None or binding.opened_at >= best.opened_at:
-                    best = binding
-        return best
 
     def event(stmt: IoStmt, loops: tuple[DoStmt, ...]) -> IoEvent:
         direction = stmt.direction
@@ -241,7 +229,9 @@ def analyze(
         else:
             number = _eval_unit(stmt.unit, tables)
             key: int | str = number if number is not None else expr_text(stmt.unit)
-            binding = live_binding(key, stmt.line)
+            binding = opened.get(key)
+            if binding is not None and binding.closed_at < stmt.line:
+                binding = None
         if binding is None:
             if number == 5 and direction == "READ":
                 binding = synthetic_binding(5, STDIN_NAME)
@@ -309,7 +299,10 @@ def analyze(
 
     events: list[IoEvent] = []
     for stmt, loops in walk(unit.statements):
-        if isinstance(stmt, IoStmt):
+        if isinstance(stmt, OpenStmt):
+            binding = next(bindings)
+            opened[binding.unit] = binding
+        elif isinstance(stmt, IoStmt):
             try:
                 events.append(event(stmt, loops))
             except AnalysisError as err:

@@ -11,6 +11,8 @@ ordinary identifier.
 from __future__ import annotations
 
 import enum
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .diagnostics import AnalysisError
@@ -107,173 +109,137 @@ def describe_token(tok: Token) -> str:
 # Logical statement assembly
 # ---------------------------------------------------------------------------
 
-# A cell is (char, line, column); a segment is the run of cells one physical
-# line contributed to a logical statement.
 
+class _Statement:
+    """One logical statement: its label, its text with comments cut, and for
+    each physical-line segment of that text its offset and its source line
+    and column."""
 
-class _Builder:
-    __slots__ = ("label", "label_line", "label_col", "label_text", "segments")
+    __slots__ = ("label", "label_line", "label_col", "label_text", "text", "parts",
+                 "offsets", "starts")
 
     def __init__(self, label, label_line, label_col, label_text):
         self.label = label
         self.label_line = label_line
         self.label_col = label_col
         self.label_text = label_text
-        self.segments: list[list[tuple[str, int, int]]] = []
+        self.text = ""
+        self.parts: list[str] = []
+        self.offsets: list[int] = []
+        self.starts: list[tuple[int, int]] = []
+
+    def add(self, text: str, line: int, column: int) -> None:
+        """Append one physical line's segment, which starts at line:column."""
+        self.offsets.append(self.offsets[-1] + len(self.parts[-1]) if self.parts else 0)
+        self.starts.append((line, column))
+        self.parts.append(text)
+
+    def finish(self) -> _Statement:
+        self.text = "".join(self.parts)
+        return self
+
+    def position(self, offset: int) -> tuple[int, int]:
+        """Source line and column of the character at offset in text."""
+        at = bisect_right(self.offsets, offset) - 1
+        line, column = self.starts[at]
+        return line, column + offset - self.offsets[at]
 
 
-@dataclass
-class _Statement:
-    label: int | None
-    label_line: int
-    label_col: int
-    label_text: str
-    text: str
-    pos: list[tuple[int, int]]
+# The patterns in this module are compiled on first use, through re's cache,
+# which keeps their compilation out of import time.
+
+# The code of a line up to a '!' comment or to a quote that no closing quote
+# matches on the same line.
+_CODE = r"""[^'"!]*(?:(?:'[^']*'|"[^"]*")[^'"!]*)*"""
 
 
-def _cells(line: str, lineno: int, start_col: int, end: int | None = None):
-    chunk = line if end is None else line[:end]
-    return [(ch, lineno, start_col + i) for i, ch in enumerate(chunk)]
+def _cut_comment(text: str, quote: str | None = None) -> tuple[str, str | None]:
+    """Cut a '!' comment off one physical line's text.  quote is the quote of
+    a string still open from the previous segment; returns the text kept and
+    the quote still open at its end."""
+    start = 0
+    if quote is not None:
+        start = text.find(quote) + 1
+        if not start:
+            return text, quote
+    end = re.compile(_CODE).match(text, start).end()
+    if end == len(text):
+        return text, None
+    if text[end] == "!":
+        return text[:end], None
+    return text, text[end]
 
 
-def _finalize(builder: _Builder) -> _Statement:
-    # Strip '!' comments with quote state carried across continuation
-    # segments; a comment only runs to the end of its physical line.
-    text_chars: list[str] = []
-    pos: list[tuple[int, int]] = []
-    quote: str | None = None
-    for seg in builder.segments:
-        for ch, ln, col in seg:
-            if quote is not None:
-                if ch == quote:
-                    quote = None
-            elif ch in "'\"":
-                quote = ch
-            elif ch == "!":
-                break
-            text_chars.append(ch)
-            pos.append((ln, col))
-    return _Statement(
-        builder.label, builder.label_line, builder.label_col,
-        builder.label_text, "".join(text_chars), pos,
-    )
+_LABEL = r" *(?:([0-9]+) )?"
 
 
-def _leading_label(cells, lineno: int):
-    """Start a statement at a line's cells: leading blanks are dropped, and a
-    leading integer followed by a blank is taken as the statement label.
-    Returns the statement builder and the cells after the label."""
-    i = 0
-    while i < len(cells) and cells[i][0] == " ":
-        i += 1
-    j = i
-    while j < len(cells) and cells[j][0].isdigit():
-        j += 1
-    if j > i and j < len(cells) and cells[j][0] == " ":
-        label_text = "".join(c[0] for c in cells[i:j])
-        return _Builder(int(label_text), cells[i][1], cells[i][2], label_text), cells[j + 1:]
-    return _Builder(None, lineno, 1, ""), cells[i:]
+def _leading_label(line: str, lineno: int) -> tuple[_Statement, int]:
+    """Start a statement at a line: leading blanks are dropped, and a leading
+    integer followed by a blank is taken as the statement label.  Returns the
+    statement and the offset in line of the text after the label."""
+    match = re.match(_LABEL, line)
+    digits = match.group(1)
+    if digits is None:
+        return _Statement(None, lineno, 1, ""), match.end()
+    return _Statement(int(digits), lineno, match.start(1) + 1, digits), match.end()
 
 
 def _assemble_fixed(text: str) -> list[_Statement]:
     statements: list[_Statement] = []
-    current: _Builder | None = None
-
-    def flush():
-        nonlocal current
-        if current is not None:
-            statements.append(_finalize(current))
-            current = None
+    current: _Statement | None = None
+    quote: str | None = None  # carried across the segments of one statement
 
     for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.rstrip("\r").replace("\t", " ")
-        if not line.strip():
-            continue
-        if line[0] in "Cc*" or line.lstrip().startswith("!"):
+        if not line.strip() or line[0] in "Cc*" or line.lstrip().startswith("!"):
             continue
         label_field = line[:5]
         cont = line[5] if len(line) > 5 else " "
+        start = 6
         if any(c not in " 0123456789" for c in label_field):
             # Ragged source: the statement starts in column 1.  A leading
             # integer followed by a space is still taken as the label.
-            flush()
-            current, cells = _leading_label(_cells(line, lineno, 1, 72), lineno)
-            current.segments.append(cells)
+            current, start = _leading_label(line[:72], lineno)
+            statements.append(current)
+            quote = None
         elif cont not in " 0" and not label_field.strip():
             if current is None:
                 raise LexError(lineno, 6, "continuation with nothing to continue")
-            current.segments.append(_cells(line[6:72], lineno, 7))
         else:
-            flush()
             # Blanks are insignificant inside the label field: ' 1 0 ' is 10.
             digits = label_field.replace(" ", "")
             label = int(digits) if digits else None
             label_col = len(label_field) - len(label_field.lstrip()) + 1 if digits else 1
-            current = _Builder(label, lineno, label_col, digits)
-            current.segments.append(_cells(line[6:72], lineno, 7))
-    flush()
-    return statements
+            current = _Statement(label, lineno, label_col, digits)
+            statements.append(current)
+            quote = None
+        kept, quote = _cut_comment(line[start:72], quote)
+        current.add(kept, lineno, start + 1)
+    return [stmt.finish() for stmt in statements]
 
 
 def _assemble_free(text: str) -> list[_Statement]:
     statements: list[_Statement] = []
-    current: _Builder | None = None
-    quote: str | None = None
+    current: _Statement | None = None
     continuing = False
-
-    def flush():
-        nonlocal current, continuing
-        if current is not None:
-            statements.append(_finalize(current))
-        current = None
-        continuing = False
 
     for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.rstrip("\r").replace("\t", " ")
-        if not line.strip():
+        if not line.strip() or line.lstrip().startswith("!"):
             continue
-        if line.lstrip().startswith("!") and quote is None:
-            continue
-
-        cells = _cells(line, lineno, 1)
         if continuing:
-            # Drop leading whitespace and an optional leading '&'.
-            i = 0
-            while i < len(cells) and cells[i][0] == " ":
-                i += 1
-            if i < len(cells) and cells[i][0] == "&" and quote is None:
-                i += 1
-            cells = cells[i:]
+            # Drop leading blanks and an optional leading '&'.
+            start = len(line) - len(line.lstrip(" "))
+            start += line.startswith("&", start)
         else:
-            flush()
-            current, cells = _leading_label(cells, lineno)
-
-        # Scan for a comment and a trailing continuation ampersand, keeping
-        # quote state so neither is recognized inside a string literal.
-        kept: list[tuple[str, int, int]] = []
-        for cell in cells:
-            ch = cell[0]
-            if quote is not None:
-                if ch == quote:
-                    quote = None
-            elif ch in "'\"":
-                quote = ch
-            elif ch == "!":
-                break
-            kept.append(cell)
-        while kept and kept[-1][0] == " ":
-            kept.pop()
-        continuing = bool(kept) and kept[-1][0] == "&" and quote is None
-        if continuing:
-            kept.pop()
-        if current is None:  # pragma: no cover - defensive
-            current = _Builder(None, lineno, 1, "")
-        current.segments.append(kept)
-        if not continuing:
-            flush()
-    flush()
-    return statements
+            current, start = _leading_label(line, lineno)
+            statements.append(current)
+        # A trailing '&' outside a string continues the statement.
+        kept, quote = _cut_comment(line[start:])
+        kept = kept.rstrip(" ")
+        continuing = kept.endswith("&") and quote is None
+        current.add(kept[:-1] if continuing else kept, lineno, start + 1)
+    return [stmt.finish() for stmt in statements]
 
 
 # ---------------------------------------------------------------------------
@@ -292,72 +258,48 @@ class _Tk:
         self.e = e
 
 
+# Letters are the characters str.isalpha accepts: over Latin-1, the source
+# encoding, that is \w less the digits 0-9, '_' and the numerals ¹²³¼½¾.
+# Digits are ASCII only.
+_RAW = r"""(?xs) \ * (?:  # blanks, then one token
+    # A quoted string; a doubled quote stands for one quote character.
+    (?P<string> '(?:[^']|'')*'(?!') | "(?:[^"]|"")*"(?!") )
+  | (?P<unterminated> ['"] )
+    # 1.5, 1., .5, 1.5E3, 1D-2; a '.' before a letter other than E or D, as
+    # in 1.X, is not part of the number.
+  | (?P<real> (?: [0-9]+ \.(?![^\W\d_eEdD\xb2\xb3\xb9\xbc-\xbe]) [0-9]* | \.[0-9]+ )
+              (?: [eEdD][+-]?[0-9]+ )?
+            | [0-9]+ [eEdD][+-]?[0-9]+ )
+  | (?P<integer> [0-9]+ )
+  | (?P<word> [^\W\d_\xb2\xb3\xb9\xbc-\xbe] [^\W\xb2\xb3\xb9\xbc-\xbe]* )
+    # (),*=/ by name; any other printable character is OTHER.
+  | (?P<punct> [^ ] )
+)"""
+
+_RAW_KINDS = {
+    "string": TokenKind.STRING_LITERAL,
+    "real": TokenKind.REAL_CONSTANT,
+    "integer": TokenKind.INTEGER_CONSTANT,
+    "word": TokenKind.IDENTIFIER,
+}
+
+
 def _scan_raw(stmt: _Statement) -> list[_Tk]:
-    text = stmt.text
-    pos = stmt.pos
     toks: list[_Tk] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " ":
-            i += 1
-            continue
-        if ch in "'\"":
-            quote = ch
-            j = i + 1
-            while j < n:
-                if text[j] == quote:
-                    if j + 1 < n and text[j + 1] == quote:
-                        j += 2
-                        continue
-                    break
-                j += 1
-            if j >= n:
-                ln, col = pos[i]
+    for match in re.finditer(_RAW, stmt.text):
+        group = match.lastgroup
+        s, e = match.span(group)
+        kind = _RAW_KINDS.get(group)
+        if kind is not None:
+            toks.append(_Tk(kind, None, None, s, e))
+        elif group == "punct" and match.group(group).isprintable():
+            which = PUNCT_NAMES.get(match.group(group), PUNCT_OTHER)
+            toks.append(_Tk(TokenKind.PUNCTUATION, which, None, s, e))
+        else:
+            ln, col = stmt.position(s)
+            if group == "unterminated":
                 raise LexError(ln, col, "unterminated string literal")
-            toks.append(_Tk(TokenKind.STRING_LITERAL, None, None, i, j + 1))
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            is_real = False
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and not (j + 1 < n and text[j + 1].isalpha() and text[j + 1] not in "eEdD"):
-                is_real = True
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eEdD":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    is_real = True
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            kind = TokenKind.REAL_CONSTANT if is_real else TokenKind.INTEGER_CONSTANT
-            toks.append(_Tk(kind, None, None, i, j))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tk(TokenKind.IDENTIFIER, None, None, i, j))
-            i = j
-            continue
-        if ch in PUNCT_NAMES:
-            toks.append(_Tk(TokenKind.PUNCTUATION, PUNCT_NAMES[ch], None, i, i + 1))
-            i += 1
-            continue
-        if ch.isprintable():
-            toks.append(_Tk(TokenKind.PUNCTUATION, PUNCT_OTHER, None, i, i + 1))
-            i += 1
-            continue
-        ln, col = pos[i]
-        raise LexError(ln, col, f"character {ch!r} outside the accepted set")
+            raise LexError(ln, col, f"character {match.group(group)!r} outside the accepted set")
     return toks
 
 
@@ -522,7 +464,7 @@ def _collapse_format_text(stmt: _Statement, toks: list[_Tk]) -> None:
         return
     close = _match_paren(toks, 1)
     if close is None:
-        ln, col = stmt.pos[toks[1].s]
+        ln, col = stmt.position(toks[1].s)
         raise LexError(ln, col, "unbalanced parentheses in FORMAT statement")
     start, end = toks[1].e, toks[close].s
     fdt = _Tk(TokenKind.FORMAT_DESCRIPTOR_TEXT, None, None, start, end)
@@ -573,11 +515,11 @@ def tokenize(unit: SourceUnit) -> list[Token]:
                 stmt.label_line, stmt.label_col, value=stmt.label,
             ))
         for tk in raws:
-            ln, col = stmt.pos[tk.s]
+            ln, col = stmt.position(tk.s)
             out.append(Token(tk.kind, stmt.text[tk.s:tk.e], ln, col,
                              which=tk.which, value=tk.value))
-        if stmt.pos:
-            ln, col = stmt.pos[-1]
+        if stmt.text:
+            ln, col = stmt.position(len(stmt.text) - 1)
             out.append(Token(TokenKind.END_OF_STATEMENT, "", ln, col + 1))
         else:
             out.append(Token(TokenKind.END_OF_STATEMENT, "",

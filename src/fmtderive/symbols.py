@@ -97,25 +97,20 @@ class ProcessEntry:
 
 @dataclass
 class SymbolTables:
+    """Variables and constants are keyed by their case-folded name."""
+
     processes: list[ProcessEntry] = field(default_factory=list)
-    variables: list[VariableEntry] = field(default_factory=list)
-    constants: list[ConstantEntry] = field(default_factory=list)
+    variables: dict[str, VariableEntry] = field(default_factory=dict)
+    constants: dict[str, ConstantEntry] = field(default_factory=dict)
     implicit_none: bool = False
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
     def find_variable(self, name: str, process: str | None = None) -> VariableEntry | None:
-        key = name.upper()
-        for entry in self.variables:
-            if entry.name == key and (process is None or entry.process == process):
-                return entry
-        return None
+        entry = self.variables.get(name.upper())
+        return entry if entry is None or process in (None, entry.process) else None
 
     def find_constant(self, name: str) -> ConstantEntry | None:
-        key = name.upper()
-        for entry in self.constants:
-            if entry.name == key:
-                return entry
-        return None
+        return self.constants.get(name.upper())
 
 
 def implicit_type(name: str) -> DataType:
@@ -160,8 +155,7 @@ def build_tables(unit: ProgramUnit) -> SymbolTables:
                         raise VariableConstantClash(entity.name, stmt.line)
                     constant.data_type = dtype
                     continue
-                tables.variables.append(
-                    VariableEntry(name, dtype, entity.dimensions, process))
+                tables.variables[name] = VariableEntry(name, dtype, entity.dimensions, process)
         elif isinstance(stmt, ParameterStmt):
             for raw_name, value in stmt.assignments:
                 name = raw_name.upper()
@@ -172,7 +166,7 @@ def build_tables(unit: ProgramUnit) -> SymbolTables:
                     if declared.dimensions:
                         raise VariableConstantClash(raw_name, stmt.line)
                     dtype = declared.data_type
-                    tables.variables.remove(declared)
+                    del tables.variables[name]
                 elif isinstance(value, str):
                     dtype = character(len(value))
                 else:
@@ -192,7 +186,7 @@ def build_tables(unit: ProgramUnit) -> SymbolTables:
                     value = int(value)
                 elif dtype.name in ("REAL", "DOUBLE_PRECISION") and isinstance(value, int):
                     value = float(value)
-                tables.constants.append(ConstantEntry(name, dtype, value))
+                tables.constants[name] = ConstantEntry(name, dtype, value)
     return tables
 
 
@@ -254,12 +248,14 @@ def dump_symbols(tables: SymbolTables) -> str:
     for p in tables.processes:
         lines.append(f"  {p.name} ({p.kind})")
     lines.append("variables:")
-    for v in tables.variables:
+    for v in tables.variables.values():
         dims = f"({', '.join(expr_text(d) for d in v.dimensions)})" if v.dimensions else ""
         lines.append(f"  {v.name}{dims}: {doc_name(v.data_type)} [{v.process}]")
     lines.append("constants:")
-    for c in tables.constants:
+    for c in tables.constants.values():
         lines.append(f"  {c.name} = {c.value!r}: {doc_name(c.data_type)}")
+    for note in tables.diagnostics:
+        lines.append(f"{note.kind} at line {note.line}: {note.message}")
     if tables.implicit_none:
         lines.append("implicit none: yes")
     return "\n".join(lines)

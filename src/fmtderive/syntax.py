@@ -15,6 +15,8 @@ from .lexer import Token, TokenKind, _match_paren, _split_commas
 
 
 class ParseError(AnalysisError):
+    """A malformed statement; parse() sets the column of its first token."""
+
     def __init__(self, line: int, message: str):
         super().__init__(message, line)
 
@@ -647,68 +649,72 @@ def parse(tokens: list[Token]) -> ProgramUnit:
             continue
 
         first = stmt_toks[0]
-        kind, which = first.kind, first.which
+        try:
+            kind, which = first.kind, first.which
 
-        if kind is TokenKind.DATA_TYPE_KEYWORD:
-            if (
-                len(stmt_toks) > 1
-                and stmt_toks[1].kind is TokenKind.CONTROL_KEYWORD
-                and stmt_toks[1].which == "FUNCTION"
-            ):
-                if not header_seen and len(stmt_toks) > 2:
-                    unit.name = stmt_toks[2].lexeme
-                    unit.kind = "FUNCTION"
+            if kind is TokenKind.DATA_TYPE_KEYWORD:
+                if (
+                    len(stmt_toks) > 1
+                    and stmt_toks[1].kind is TokenKind.CONTROL_KEYWORD
+                    and stmt_toks[1].which == "FUNCTION"
+                ):
+                    if not header_seen and len(stmt_toks) > 2:
+                        unit.name = stmt_toks[2].lexeme
+                        unit.kind = "FUNCTION"
+                        header_seen = True
+                    append(OtherStmt(_raw_text(stmt_toks), line=line), label)
+                else:
+                    append(_parse_decl(stmt_toks, line), label)
+            elif kind is TokenKind.CONTROL_KEYWORD and which == "PARAMETER":
+                append(_parse_parameter(stmt_toks, line), label)
+            elif kind is TokenKind.CONTROL_KEYWORD and which == "DO":
+                do_stack.append(_parse_do_header(stmt_toks, line, label))
+            elif kind is TokenKind.CONTROL_KEYWORD and which == "CONTINUE":
+                append(ContinueStmt(label, line=line), label)
+            elif kind is TokenKind.CONTROL_KEYWORD and which in ("PROGRAM", "SUBROUTINE", "FUNCTION"):
+                if not header_seen and len(stmt_toks) > 1:
+                    unit.name = stmt_toks[1].lexeme
+                    unit.kind = which
                     header_seen = True
                 append(OtherStmt(_raw_text(stmt_toks), line=line), label)
-            else:
-                append(_parse_decl(stmt_toks, line), label)
-        elif kind is TokenKind.CONTROL_KEYWORD and which == "PARAMETER":
-            append(_parse_parameter(stmt_toks, line), label)
-        elif kind is TokenKind.CONTROL_KEYWORD and which == "DO":
-            do_stack.append(_parse_do_header(stmt_toks, line, label))
-        elif kind is TokenKind.CONTROL_KEYWORD and which == "CONTINUE":
-            append(ContinueStmt(label, line=line), label)
-        elif kind is TokenKind.CONTROL_KEYWORD and which in ("PROGRAM", "SUBROUTINE", "FUNCTION"):
-            if not header_seen and len(stmt_toks) > 1:
-                unit.name = stmt_toks[1].lexeme
-                unit.kind = which
-                header_seen = True
-            append(OtherStmt(_raw_text(stmt_toks), line=line), label)
-        elif kind is TokenKind.CONTROL_KEYWORD and which == "IF":
-            close = _match_paren(stmt_toks, 1)
-            after = stmt_toks[close + 1:] if close is not None else []
-            if close is None:
+            elif kind is TokenKind.CONTROL_KEYWORD and which == "IF":
+                close = _match_paren(stmt_toks, 1)
+                after = stmt_toks[close + 1:] if close is not None else []
+                if close is None:
+                    append(OtherStmt(_raw_text(stmt_toks), line=line), label)
+                elif (
+                    len(after) == 1
+                    and after[0].kind is TokenKind.CONTROL_KEYWORD
+                    and after[0].which == "THEN"
+                ):
+                    append(OtherStmt(_raw_text(stmt_toks), line=line), label)
+                    if_depth += 1
+                elif after and after[0].kind is TokenKind.READ_WRITE_KEYWORD and after[0].which in ("READ", "WRITE"):
+                    append(_parse_io(after, line, conditional=True), label)
+                elif after and after[0].kind is TokenKind.FILE_OP_KEYWORD:
+                    sub = _parse_open(after, line) if after[0].which == "OPEN" else _parse_close(after, line)
+                    append(sub, label)
+                else:
+                    append(OtherStmt(_raw_text(stmt_toks), line=line), label)
+            elif kind is TokenKind.CONTROL_KEYWORD and which == "ENDIF":
                 append(OtherStmt(_raw_text(stmt_toks), line=line), label)
-            elif (
-                len(after) == 1
-                and after[0].kind is TokenKind.CONTROL_KEYWORD
-                and after[0].which == "THEN"
-            ):
-                append(OtherStmt(_raw_text(stmt_toks), line=line), label)
-                if_depth += 1
-            elif after and after[0].kind is TokenKind.READ_WRITE_KEYWORD and after[0].which in ("READ", "WRITE"):
-                append(_parse_io(after, line, conditional=True), label)
-            elif after and after[0].kind is TokenKind.FILE_OP_KEYWORD:
-                sub = _parse_open(after, line) if after[0].which == "OPEN" else _parse_close(after, line)
-                append(sub, label)
+                if_depth = max(0, if_depth - 1)
+            elif kind is TokenKind.FILE_OP_KEYWORD:
+                parser = _parse_open if which == "OPEN" else _parse_close
+                append(parser(stmt_toks, line), label)
+            elif kind is TokenKind.READ_WRITE_KEYWORD:
+                if which == "FORMAT":
+                    append(_parse_format_stmt(stmt_toks, line, label), label)
+                else:
+                    append(_parse_io(stmt_toks, line, conditional=if_depth > 0), label)
             else:
-                append(OtherStmt(_raw_text(stmt_toks), line=line), label)
-        elif kind is TokenKind.CONTROL_KEYWORD and which == "ENDIF":
-            append(OtherStmt(_raw_text(stmt_toks), line=line), label)
-            if_depth = max(0, if_depth - 1)
-        elif kind is TokenKind.FILE_OP_KEYWORD:
-            parser = _parse_open if which == "OPEN" else _parse_close
-            append(parser(stmt_toks, line), label)
-        elif kind is TokenKind.READ_WRITE_KEYWORD:
-            if which == "FORMAT":
-                append(_parse_format_stmt(stmt_toks, line, label), label)
-            else:
-                append(_parse_io(stmt_toks, line, conditional=if_depth > 0), label)
-        else:
-            raw = _raw_text(stmt_toks)
-            append(OtherStmt(raw, line=line), label)
-            if raw.upper().replace(" ", "") == "ENDDO" and do_stack and do_stack[-1].label is None:
-                close_innermost()
+                raw = _raw_text(stmt_toks)
+                append(OtherStmt(raw, line=line), label)
+                if raw.upper().replace(" ", "") == "ENDDO" and do_stack and do_stack[-1].label is None:
+                    close_innermost()
+        except ParseError as err:
+            err.column = first.column
+            raise
 
     if do_stack:
         raise ParseError(do_stack[-1].line, "unterminated DO loop")

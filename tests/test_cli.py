@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from xml.dom import minidom
@@ -46,7 +47,7 @@ def test_malformed_open_exits_one(tmp_path, capsys):
     assert run_cli(["parse", str(bad), "-o", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "bad.f" in err
-    assert "bad.f:2:" in err
+    assert "bad.f:2:7:" in err
 
 
 def test_unreadable_input_exits_one(tmp_path, capsys):
@@ -160,12 +161,53 @@ def test_module_entry_point(model_file, tmp_path):
     ("lex.f",
      "      OPEN (2, FILE='UNTERMINATED\n",
      ":1:21", "unterminated string literal"),
-], ids=["format", "duplicate-label", "conflict", "clash", "undeclared", "missing-label", "lex"])
+    ("implied.f",
+     "      X = 1\n      WRITE(6,*) (A(I), I=1,3)\n",
+     ":2:7", "implied-DO loops in I/O item lists are not supported"),
+], ids=["format", "duplicate-label", "conflict", "clash", "undeclared", "missing-label", "lex",
+        "parse"])
 def test_errors_name_file_line_and_column(tmp_path, capsys, name, source, location, message):
     path = tmp_path / name
     path.write_text(source)
     assert run_cli(["parse", str(path), "-o", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"{path}{location}: error: {message}\n"
+
+
+def _run_module(args, encoding: str):
+    env = dict(os.environ, PYTHONIOENCODING=encoding)
+    return subprocess.run(
+        [sys.executable, "-m", "fmtderive", *args],
+        capture_output=True, text=True, encoding=encoding, env=env,
+    )
+
+
+def test_non_ascii_digits_lex_as_punctuation(tmp_path):
+    # Superscript digits pass str.isdigit but are not FORTRAN digits.
+    fixed = tmp_path / "sup.f"
+    fixed.write_bytes("      PARAMETER (N=\u00b2)\n      WRITE(6,*) N\n".encode("latin-1"))
+    free = tmp_path / "sup.f90"
+    free.write_bytes("\u00b2 X = 1\nwrite(*,*) x\n".encode("latin-1"))
+    out = tmp_path / "out"
+    result = _run_module(["parse", str(fixed), "-o", str(out), "--dump-symbols"], "utf-8")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert "unresolved-constant at line 1: constant N = \u00b2 cannot be resolved" in result.stdout
+    result = _run_module(["parse", str(free), "--dialect", "free", "-o", str(out),
+                          "--dump-tokens"], "utf-8")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert "1:1 punctuation(OTHER) \u00b2\n1:3 identifier X\n" in result.stdout
+
+
+def test_summary_lines_survive_an_ascii_stdout(tmp_path):
+    cafe = tmp_path / "cafe.f"
+    cafe.write_bytes("      OPEN(3, FILE='CAF\u00c9.DAT')\n      WRITE(3,*) X\n".encode("latin-1"))
+    second = tmp_path / "second.f"
+    second.write_text("      WRITE(6,*) Y\n")
+    out = tmp_path / "out"
+    result = _run_module(["parse", str(cafe), str(second), "-o", str(out)], "ascii")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert "CAF\\xc9.DAT: output, 1 group(s)" in result.stdout
+    assert (out / "CAF\u00c9.DAT.format.xml").exists()
+    assert (out / "stdout.format.xml").exists()
 
 
 def test_negative_default_loop_count_is_usage_error(tmp_path, capsys):

@@ -1,9 +1,12 @@
-"""Golden tests for --dump-ast and --dump-events.
+"""Golden tests for --dump-tokens, --dump-ast and --dump-events.
 
 They pin the statement walker's full nesting and order: END DO loops, label-
 terminated loops sharing one terminal label, block IF arms and FORMAT
-statements inside loop bodies.  The document summary lines are part of the
-golden, with the output directory written as <out>.
+statements inside loop bodies.  The token dumps pin every token's line:col,
+across fixed-form continuation lines, ragged and blank-split labels, the
+column-72 cut, free-form '&' continuations and '!' or '&' inside strings.
+The document summary lines are part of the golden, with the output
+directory written as <out>.
 """
 
 from pathlib import Path
@@ -18,10 +21,12 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 SOURCES = {
     "odtime": (ROOT / "docs" / "examples" / "odtime.f", "fixed"),
     "nested": (GOLDEN / "nested.f90", "free"),
+    "continued": (GOLDEN / "continued.f", "fixed"),
+    "ampersand": (GOLDEN / "ampersand.f90", "free"),
 }
 
 
-@pytest.mark.parametrize("dump", ["ast", "events"])
+@pytest.mark.parametrize("dump", ["tokens", "ast", "events"])
 @pytest.mark.parametrize("name", sorted(SOURCES))
 def test_dump_matches_golden(name, dump, tmp_path, capsys):
     source, dialect = SOURCES[name]

@@ -367,3 +367,92 @@ def test_multiplicity_matches_loop_simulator(specs, shared):
     mult = events[0].multiplicity
     assert not mult.defaulted
     assert mult.resolved == simulate_loops(bounds)
+
+
+# ---------------------------------------------------------------------------
+# Unit binding against a brute-force scan
+# ---------------------------------------------------------------------------
+
+_unit_numbers = st.sampled_from([5, 6, 7, 8])
+_unit_ops = st.one_of(
+    st.tuples(st.just("OPEN"), _unit_numbers, st.integers(0, 3)),
+    st.tuples(st.just("CLOSE"), _unit_numbers),
+    st.tuples(st.sampled_from(["READ", "WRITE"]), _unit_numbers),
+)
+_binding_programs = st.lists(
+    st.recursive(
+        st.one_of(_unit_ops, st.tuples(st.just("IF"), _unit_ops)),
+        lambda inner: st.tuples(st.just("DO"), st.lists(inner, max_size=4)),
+        max_leaves=12,
+    ),
+    max_size=12,
+)
+
+
+def build_binding_source(ops) -> tuple[str, list[tuple[int, str, int, str | None]]]:
+    """Fixed-form source for nested ops, plus (line, verb, unit, file) for
+    every OPEN, CLOSE, READ and WRITE it contains, in source order."""
+    lines: list[str] = []
+    flat: list[tuple[int, str, int, str | None]] = []
+    labels = iter(range(10, 10000, 10))
+
+    def render(op, prefix=""):
+        verb = op[0]
+        if verb == "DO":
+            label = next(labels)
+            lines.append(f"      DO {label} I=1,2")
+            for inner in op[1]:
+                render(inner)
+            lines.append(f"{label:5d} CONTINUE")
+        elif verb == "IF":
+            render(op[1], "IF (X .GT. 0.0) ")
+        else:
+            unit, file_name = op[1], None
+            if verb == "OPEN":
+                file_name = f"F{op[2]}.DAT"
+                text = f"OPEN({unit}, FILE='{file_name}')"
+            elif verb == "CLOSE":
+                text = f"CLOSE({unit})"
+            else:
+                text = f"{verb}({unit},*) X"
+            lines.append(f"      {prefix}{text}")
+            flat.append((len(lines), verb, unit, file_name))
+
+    for op in ops:
+        render(op)
+    lines.append("      END")
+    return "\n".join(lines) + "\n", flat
+
+
+def latest_open(flat, line: int, verb: str, unit: int) -> tuple[str, int]:
+    """Oracle: the file of the unit's latest OPEN before this line that no
+    CLOSE has ended since, with the OPEN's line; else stdin/stdout or a
+    <unit-K> placeholder, opened at line 0."""
+    live = None
+    for at, other_verb, other_unit, file_name in flat:
+        if at < line and other_unit == unit:
+            if other_verb == "OPEN":
+                live = (file_name, at)
+            elif other_verb == "CLOSE":
+                live = None
+    if live is not None:
+        return live
+    if unit == 5 and verb == "READ":
+        return "<stdin>", 0
+    if unit == 6 and verb == "WRITE":
+        return "<stdout>", 0
+    return f"<unit-{unit}>", 0
+
+
+@given(ops=_binding_programs)
+@settings(max_examples=150, deadline=None)
+def test_unit_binding_matches_brute_force_scan(ops):
+    src, flat = build_binding_source(ops)
+    _, _, events = run_pipeline(src)
+    transfers = [entry for entry in flat if entry[1] in ("READ", "WRITE")]
+    assert len(events) == len(transfers)
+    for event, (line, verb, unit, _) in zip(events, transfers):
+        assert event.source_line == line
+        assert event.direction == verb
+        expected = latest_open(flat, line, verb, unit)
+        assert (event.binding.file_name, event.binding.opened_at) == expected

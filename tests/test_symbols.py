@@ -43,8 +43,8 @@ def test_model_example_tables(model_program):
 def test_no_declarations_gives_bare_process_table():
     tables = tables_for("      X = 1")
     assert len(tables.processes) == 1
-    assert tables.variables == []
-    assert tables.constants == []
+    assert tables.variables == {}
+    assert tables.constants == {}
 
 
 def test_build_tables_is_idempotent(model_program):

@@ -155,6 +155,7 @@ def test_malformed_open_raises_with_line():
     with pytest.raises(ParseError) as exc:
         parse_src("      X = 1\n      OPEN (, FILE='X')\n")
     assert exc.value.line == 2
+    assert exc.value.column == 7
 
 
 def test_logical_if_io_is_conditional():
