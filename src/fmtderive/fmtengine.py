@@ -10,6 +10,7 @@ skipped with a diagnostic rather than rejected.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 from . import diagnostics as diag
@@ -129,171 +130,118 @@ class Layout:
 # Parsing
 # ---------------------------------------------------------------------------
 
-# Control descriptors without layout effect; skipped with a diagnostic.
-_SKIPPED_PREFIXES = ("BN", "BZ", "SP", "SS", "TL", "TR", "S", "T")
+# One item of a format list and the blanks and commas before it.  Letters
+# match in either case; digits are ASCII 0-9.  Compiled on first use, through
+# re's cache, which keeps the compilation out of import time.
+_ITEM = r"""(?xs) [ ,]* (?:
+    (?P<close> \) )
+  | (?P<end> \Z )
+    # -2P or 2P: a scale factor, which needs its count.
+  | (?P<scale> [+-] [0-9]+ [Pp] | (?P<factor> [0-9]+ ) [Pp] )
+  | (?P<sign> [+-] )
+    # Any other item may follow a repeat count.
+  | (?P<count> [0-9]+ )? (?:
+        # Iw.m, Fw.d, Ew.d, Dw.d; E and D also take an Ee exponent suffix.
+        (?P<edit> (?P<letter> [IiFf] | (?P<exp> [EeDd] ) ) (?P<width> [0-9]* )
+                  (?: (?P<dot> \. ) (?P<frac> [0-9]* ) (?(exp) (?: [Ee][0-9]+ )? ) )? )
+      | (?P<x> [Xx] )
+      | (?P<open> \( )
+      | (?P<char> [Aa] (?P<length> [0-9]* ) )
+      | (?P<slash> / )
+        # A doubled quote inside a literal stands for one quote character.
+      | (?P<quoted> '[^']*(?:''[^']*)*'(?!') | "[^"]*(?:""[^"]*)*"(?!") )
+      | (?P<unterminated> ['"] )
+      | (?P<colon> : )
+        # nH: the n characters after the H are the literal.
+      | (?P<hollerith> [Hh] )
+        # BN, BZ, SP, SS, S, TLn, TRn, Tn: no layout effect, skipped.
+      | (?P<control> (?P<name> [Bb][NnZz] | [Ss][PpSs]? | [Tt][LlRr]? ) (?P<tab> [0-9]* ) )
+        # Anything else; nothing at all only after a repeat count.
+      | (?P<other> . | \Z )
+    )
+)"""
 
 
 def parse_descriptors(text: str, diagnostics: list[Diagnostic] | None = None) -> list[EditDescriptor]:
     """Parse the content between FORMAT parentheses into a descriptor tree."""
-    items, pos = _parse_list(text, 0, diagnostics)
-    if pos != len(text):
-        raise DescriptorError(pos, "unbalanced ')'")
-    return items
-
-
-def _skip_separators(text: str, i: int) -> int:
-    while i < len(text) and text[i] in " ,":
-        i += 1
-    return i
-
-
-def _scan_int(text: str, i: int) -> tuple[int | None, int]:
-    j = i
-    while j < len(text) and text[j].isdigit():
-        j += 1
-    if j == i:
-        return None, i
-    return int(text[i:j]), j
-
-
-def _note_skip(diagnostics: list[Diagnostic] | None, name: str) -> None:
-    if diagnostics is not None:
-        diagnostics.append(Diagnostic(
-            diag.UNSUPPORTED_DESCRIPTOR,
-            f"control descriptor {name} has no layout effect and was skipped",
-        ))
-
-
-def _parse_list(text: str, i: int, diagnostics) -> tuple[list[EditDescriptor], int]:
+    match = re.compile(_ITEM).match
     items: list[EditDescriptor] = []
-    n = len(text)
+    # (enclosing list, repeat count, offset of the '(') of each open group
+    open_groups: list[tuple[list[EditDescriptor], int | None, int]] = []
+    pos = 0
     while True:
-        i = _skip_separators(text, i)
-        if i >= n or text[i] == ")":
-            return items, i
-
-        start = i
-        # Signed scale factor, e.g. -2P.
-        if text[i] in "+-":
-            count, j = _scan_int(text, i + 1)
-            if count is not None and j < n and text[j].upper() == "P":
-                _note_skip(diagnostics, text[start:j + 1])
-                i = j + 1
-                continue
-            raise DescriptorError(i, f"unexpected {text[i]!r}")
-
-        count, i = _scan_int(text, i)
-        if i >= n and count is not None:
-            raise DescriptorError(start, "dangling repeat count")
-
-        if i < n and text[i] == "(":
-            children, j = _parse_list(text, i + 1, diagnostics)
-            if j >= n or text[j] != ")":
-                raise DescriptorError(i, "missing ')'")
-            if not children:
-                raise DescriptorError(i, "empty group")
-            items.append(Group(count if count is not None else 1, tuple(children)))
-            i = j + 1
+        m = match(text, pos)
+        kind, pos = m.lastgroup, m.end()
+        count = int(m["count"]) if m["count"] else None
+        if kind == "edit":
+            letter, width, frac = m["letter"].upper(), int(m["width"] or 0), m["frac"]
+            if width < 1:
+                raise DescriptorError(m.start(kind), f"{letter} descriptor needs a width")
+            if letter == "I":
+                # Iw.m: the minimum-digits suffix does not change the layout.
+                if frac == "":
+                    raise DescriptorError(m.start("dot"), "malformed minimum digits")
+                leaf: EditDescriptor = IntEdit(width)
+            elif not frac:
+                raise DescriptorError(m.start(kind), f"{letter} descriptor needs width.frac")
+            elif int(frac) >= width:
+                raise DescriptorError(m.start(kind), "fraction digits must be smaller than the width")
+            else:
+                leaf = (FixedEdit if letter == "F" else ExpEdit)(width, int(frac))
+        elif kind == "x":
+            items.append(PositionX(1 if count is None else count))
             continue
-        if i < n and text[i] == "/":
-            item: EditDescriptor = RecordBreak()
-            items.append(Repeated(count, item) if count is not None else item)
-            i += 1
+        elif kind == "open":
+            open_groups.append((items, count, m.start(kind)))
+            items = []
             continue
-        if i < n and text[i] in "'\"":
-            literal, i = _parse_quoted(text, i)
-            items.append(Repeated(count, literal) if count is not None else literal)
+        elif kind == "close":
+            if not open_groups:
+                raise DescriptorError(m.start(kind), "unbalanced ')'")
+            outer, repeat, at = open_groups.pop()
+            if not items:
+                raise DescriptorError(at, "empty group")
+            outer.append(Group(1 if repeat is None else repeat, tuple(items)))
+            items = outer
             continue
-        if i < n and text[i] == ":":
-            _note_skip(diagnostics, ":")
-            i += 1
-            continue
-        if i >= n:
-            return items, i
-
-        ch = text[i].upper()
-        if ch == "X":
-            items.append(PositionX(count if count is not None else 1))
-            i += 1
-            continue
-        if ch == "H":
+        elif kind == "end":
+            if open_groups:
+                raise DescriptorError(open_groups[-1][2], "missing ')'")
+            return items
+        elif kind == "char":
+            leaf = CharEdit(int(m["length"]) if m["length"] else None)
+        elif kind == "quoted":
+            quote = text[m.start(kind)]
+            leaf = LiteralText(m[kind][1:-1].replace(quote * 2, quote))
+        elif kind == "slash":
+            leaf = RecordBreak()
+        elif kind == "hollerith":
             if count is None or count < 1:
-                raise DescriptorError(i, "Hollerith descriptor needs a count")
-            if i + 1 + count > n:
-                raise DescriptorError(i, "Hollerith descriptor runs past the format")
-            items.append(LiteralText(text[i + 1:i + 1 + count]))
-            i += 1 + count
+                raise DescriptorError(m.start(kind), "Hollerith descriptor needs a count")
+            if pos + count > len(text):
+                raise DescriptorError(m.start(kind), "Hollerith descriptor runs past the format")
+            items.append(LiteralText(text[pos:pos + count]))
+            pos += count
             continue
-        if ch == "P" and count is not None:
-            _note_skip(diagnostics, f"{count}P")
-            i += 1
+        elif kind in ("scale", "colon", "control"):
+            if kind == "control":
+                name = m["name"].upper() + (str(int(m["tab"])) if m["tab"] else "")
+            else:
+                name = f"{int(m['factor'])}P" if m["factor"] else m[kind]
+            if diagnostics is not None:
+                diagnostics.append(Diagnostic(
+                    diag.UNSUPPORTED_DESCRIPTOR,
+                    f"control descriptor {name} has no layout effect and was skipped"))
             continue
-
-        upper_rest = text[i:].upper()
-        skipped = next((p for p in _SKIPPED_PREFIXES if upper_rest.startswith(p)), None)
-        if skipped is not None and ch not in "IFEDA":
-            i += len(skipped)
-            width, i = _scan_int(text, i)
-            label = skipped if width is None else f"{skipped}{width}"
-            _note_skip(diagnostics, label)
-            continue
-
-        if ch in "IFEDA":
-            leaf, i = _parse_widths(text, i, ch)
-            items.append(Repeated(count, leaf) if count is not None else leaf)
-            continue
-        raise DescriptorError(i, f"unknown edit descriptor {text[i]!r}")
-
-
-def _parse_quoted(text: str, i: int) -> tuple[LiteralText, int]:
-    quote = text[i]
-    j = i + 1
-    out = []
-    n = len(text)
-    while j < n:
-        if text[j] == quote:
-            if j + 1 < n and text[j + 1] == quote:
-                out.append(quote)
-                j += 2
-                continue
-            return LiteralText("".join(out)), j + 1
-        out.append(text[j])
-        j += 1
-    raise DescriptorError(i, "unterminated literal in format")
-
-
-def _parse_widths(text: str, i: int, letter: str) -> tuple[EditDescriptor, int]:
-    start = i
-    i += 1
-    width, i = _scan_int(text, i)
-    if letter == "A":
-        return CharEdit(width), i
-    if width is None or width < 1:
-        raise DescriptorError(start, f"{letter} descriptor needs a width")
-    if letter == "I":
-        # Iw.m: the minimum-digits suffix does not change the layout.
-        if i < len(text) and text[i] == ".":
-            m, j = _scan_int(text, i + 1)
-            if m is None:
-                raise DescriptorError(i, "malformed minimum digits")
-            i = j
-        return IntEdit(width), i
-    if i >= len(text) or text[i] != ".":
-        raise DescriptorError(start, f"{letter} descriptor needs width.frac")
-    frac, i = _scan_int(text, i + 1)
-    if frac is None:
-        raise DescriptorError(start, f"{letter} descriptor needs width.frac")
-    if frac >= width:
-        raise DescriptorError(start, "fraction digits must be smaller than the width")
-    if letter == "F":
-        return FixedEdit(width, frac), i
-    # E and D behave identically for layout purposes; Ew.dEe exponent-width
-    # suffixes are accepted and ignored.
-    if i < len(text) and text[i].upper() == "E":
-        e, j = _scan_int(text, i + 1)
-        if e is not None:
-            i = j
-    return ExpEdit(width, frac), i
+        elif kind == "sign":
+            raise DescriptorError(m.start(kind), f"unexpected {m[kind]!r}")
+        elif kind == "unterminated":
+            raise DescriptorError(m.start(kind), "unterminated literal in format")
+        elif m[kind]:
+            raise DescriptorError(m.start(kind), f"unknown edit descriptor {m[kind]!r}")
+        else:
+            raise DescriptorError(m.start("count"), "dangling repeat count")
+        items.append(leaf if count is None else Repeated(count, leaf))
 
 
 # ---------------------------------------------------------------------------
@@ -430,15 +378,6 @@ def _iter_leaves(descriptors):
             yield d
 
 
-def _reversion_segment(descriptors: list[EditDescriptor]) -> list[EditDescriptor]:
-    # Reversion restarts at the last top-level group (with its repeat count),
-    # or at the beginning when the format has no groups.
-    for idx in range(len(descriptors) - 1, -1, -1):
-        if isinstance(descriptors[idx], Group):
-            return descriptors[idx:]
-    return descriptors
-
-
 def pair_items(
     descriptors: list[EditDescriptor],
     item_count: int,
@@ -451,33 +390,29 @@ def pair_items(
     the second return value reports whether reversion was needed.
     """
     pairs: list[tuple[EditDescriptor | None, tuple[EditDescriptor, ...]]] = []
-    if item_count == 0:
-        return pairs, False
-
-    def consume(stream) -> bool:
+    segment, reverted = descriptors, False
+    # One pass over the segment per loop; separators do not carry over.
+    while len(pairs) < item_count:
+        paired = len(pairs)
         pending: list[EditDescriptor] = []
-        for leaf in stream:
+        for leaf in _iter_leaves(segment):
             if isinstance(leaf, _SEPARATOR_LEAVES):
                 pending.append(leaf)
             elif isinstance(leaf, _DATA_LEAVES):
                 pairs.append((leaf, tuple(pending)))
                 pending.clear()
                 if len(pairs) == item_count:
-                    return True
-        return False
-
-    if consume(_iter_leaves(descriptors)):
-        return pairs, False
-
-    segment = _reversion_segment(descriptors)
-    has_data = any(isinstance(leaf, _DATA_LEAVES) for leaf in _iter_leaves(segment))
-    if not has_data:
-        while len(pairs) < item_count:
-            pairs.append((None, ()))
-        return pairs, True
-    while not consume(_iter_leaves(segment)):
-        pass
-    return pairs, True
+                    break
+        else:
+            if not reverted:
+                # Reversion restarts at the last top-level group, with its
+                # repeat count, or at the beginning when the format has none.
+                groups = [k for k, d in enumerate(descriptors) if isinstance(d, Group)]
+                segment, reverted = descriptors[groups[-1] if groups else 0:], True
+            elif len(pairs) == paired:
+                # The segment has no data leaf to pair the remaining items with.
+                pairs += [(None, ())] * (item_count - paired)
+    return pairs, reverted
 
 
 def layout_table(layout: Layout) -> str:

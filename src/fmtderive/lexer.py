@@ -234,10 +234,12 @@ def _assemble_free(text: str) -> list[_Statement]:
         else:
             current, start = _leading_label(line, lineno)
             statements.append(current)
-        # A trailing '&' outside a string continues the statement.
-        kept, quote = _cut_comment(line[start:])
+            quote = None
+        # A trailing '&' continues the statement; inside a string it continues
+        # the string after the next line's leading '&' (F95 3.3.1.3).
+        kept, quote = _cut_comment(line[start:], quote)
         kept = kept.rstrip(" ")
-        continuing = kept.endswith("&") and quote is None
+        continuing = kept.endswith("&")
         current.add(kept[:-1] if continuing else kept, lineno, start + 1)
     return [stmt.finish() for stmt in statements]
 

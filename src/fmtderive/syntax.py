@@ -17,8 +17,8 @@ from .lexer import Token, TokenKind, _match_paren, _split_commas
 class ParseError(AnalysisError):
     """A malformed statement; parse() sets the column of its first token."""
 
-    def __init__(self, line: int, message: str):
-        super().__init__(message, line)
+    def __init__(self, line: int, message: str, column: int | None = None):
+        super().__init__(message, line, column)
 
 
 class DuplicateFormatLabel(AnalysisError):
@@ -177,6 +177,7 @@ class DoStmt:
     body: list["Stmt"]
     own_label: int | None = None
     line: int = field(default=0, compare=False)
+    column: int = field(default=0, compare=False)  # of the DO keyword
 
 
 @dataclass
@@ -582,7 +583,8 @@ def _parse_do_header(toks: list[Token], line: int, own_label: int | None) -> DoS
     start = _parse_int_expr(parts[0], line)
     stop = _parse_int_expr(parts[1], line)
     step = _parse_int_expr(parts[2], line) if len(parts) == 3 else None
-    return DoStmt(terminal, var, start, stop, step, [], own_label=own_label, line=line)
+    return DoStmt(terminal, var, start, stop, step, [], own_label=own_label, line=line,
+                  column=toks[0].column)
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +719,7 @@ def parse(tokens: list[Token]) -> ProgramUnit:
             raise
 
     if do_stack:
-        raise ParseError(do_stack[-1].line, "unterminated DO loop")
+        raise ParseError(do_stack[-1].line, "unterminated DO loop", do_stack[-1].column)
     return unit
 
 

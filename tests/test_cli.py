@@ -164,8 +164,11 @@ def test_module_entry_point(model_file, tmp_path):
     ("implied.f",
      "      X = 1\n      WRITE(6,*) (A(I), I=1,3)\n",
      ":2:7", "implied-DO loops in I/O item lists are not supported"),
+    ("undo.f",
+     "      X = 1\n   20 DO 10 I=1,3\n      WRITE(6,*) I\n",
+     ":2:7", "unterminated DO loop"),
 ], ids=["format", "duplicate-label", "conflict", "clash", "undeclared", "missing-label", "lex",
-        "parse"])
+        "parse", "unterminated-do"])
 def test_errors_name_file_line_and_column(tmp_path, capsys, name, source, location, message):
     path = tmp_path / name
     path.write_text(source)
@@ -195,6 +198,17 @@ def test_non_ascii_digits_lex_as_punctuation(tmp_path):
                           "--dump-tokens"], "utf-8")
     assert (result.returncode, result.stderr) == (0, "")
     assert "1:1 punctuation(OTHER) \u00b2\n1:3 identifier X\n" in result.stdout
+
+
+def test_non_ascii_digit_in_a_format_is_an_error(tmp_path):
+    src = tmp_path / "sup.f"
+    src.write_bytes("      WRITE(6,100) K\n  100 FORMAT(\u00b2I4)\n".encode("latin-1"))
+    result = _run_module(["parse", str(src), "-o", str(tmp_path / "out")], "utf-8")
+    assert (result.returncode, result.stderr) == (
+        1, f"{src}:1: error: position 0: unknown edit descriptor '\u00b2'\n")
+    result = _run_module(["descriptor", "I\u00b2"], "utf-8")
+    assert (result.returncode, result.stderr) == (
+        1, "error: position 0: I descriptor needs a width\n")
 
 
 def test_summary_lines_survive_an_ascii_stdout(tmp_path):

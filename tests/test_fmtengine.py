@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,6 +85,72 @@ def test_parse_nested_groups():
 def test_parse_errors(bad):
     with pytest.raises(DescriptorError):
         parse_descriptors(bad)
+
+
+@pytest.mark.parametrize("text, position, message", [
+    ("1x)", 2, "unbalanced ')'"),
+    ("i4,)", 3, "unbalanced ')'"),
+    ("+i4", 0, "unexpected '+'"),
+    ("-", 0, "unexpected '-'"),
+    ("+2", 0, "unexpected '+'"),
+    ("1x,3", 3, "dangling repeat count"),
+    ("2(1x", 1, "missing ')'"),
+    ("2(i4,(1x)", 1, "missing ')'"),
+    ("()", 0, "empty group"),
+    ("i4,2(,)", 4, "empty group"),
+    ("Hx", 0, "Hollerith descriptor needs a count"),
+    ("0Hx", 1, "Hollerith descriptor needs a count"),
+    ("3Hab", 1, "Hollerith descriptor runs past the format"),
+    ("1x,'abc", 3, "unterminated literal in format"),
+    ("'ab''", 0, "unterminated literal in format"),
+    ('"ab', 0, "unterminated literal in format"),
+    ("q4", 0, "unknown edit descriptor 'q'"),
+    ("2 i4", 1, "unknown edit descriptor ' '"),
+    ("P", 0, "unknown edit descriptor 'P'"),
+    ("x,2)", 3, "unknown edit descriptor ')'"),
+    ("A4.2", 2, "unknown edit descriptor '.'"),
+    ("i", 0, "I descriptor needs a width"),
+    ("1x,I0", 3, "I descriptor needs a width"),
+    ("i.5", 0, "I descriptor needs a width"),
+    ("f.5", 0, "F descriptor needs a width"),
+    ("D0.0", 0, "D descriptor needs a width"),
+    ("e10.3e", 5, "E descriptor needs a width"),
+    ("i4.", 2, "malformed minimum digits"),
+    ("f12", 0, "F descriptor needs width.frac"),
+    ("f12.", 0, "F descriptor needs width.frac"),
+    ("e10", 0, "E descriptor needs width.frac"),
+    ("1x,d10.", 3, "D descriptor needs width.frac"),
+    ("F5.5", 0, "fraction digits must be smaller than the width"),
+    ("E4.9", 0, "fraction digits must be smaller than the width"),
+    # Digits and letters are ASCII.
+    ("\u00b2I4", 0, "unknown edit descriptor '\u00b2'"),
+    ("I\u00b2", 0, "I descriptor needs a width"),
+    ("1x,3\u00b9X", 4, "unknown edit descriptor '\u00b9'"),
+    ("\u00dfI4", 0, "unknown edit descriptor '\u00df'"),
+])
+def test_descriptor_error_messages_and_positions(text, position, message):
+    with pytest.raises(DescriptorError) as caught:
+        parse_descriptors(text)
+    assert (caught.value.position, caught.value.message) == (position, f"position {position}: {message}")
+
+
+@pytest.mark.parametrize("text, name", [
+    ("-2P", "-2P"), ("+02p", "+02p"), ("2P", "2P"), ("02p", "2P"), (":", ":"), ("3:", ":"),
+    ("BN", "BN"), ("bz", "BZ"), ("T10", "T10"), ("tl4", "TL4"), ("TR", "TR"),
+    ("SP", "SP"), ("ss", "SS"), ("S", "S"), ("t", "T"), ("3BN", "BN"),
+])
+def test_control_descriptor_skip_notes(text, name):
+    notes = []
+    assert parse_descriptors(f"{text},i4", notes) == [IntEdit(4)]
+    assert [(d.kind, d.message) for d in notes] == [
+        ("unsupported-descriptor", f"control descriptor {name} has no layout effect and was skipped")]
+
+
+def test_parse_time_is_linear_in_format_length():
+    started = time.perf_counter()
+    descriptors = parse_descriptors("I4," * 40000)
+    assert time.perf_counter() - started < 1.0
+    assert descriptors == [IntEdit(4)] * 40000
 
 
 def test_control_descriptors_skip_with_diagnostic():
@@ -257,6 +325,38 @@ def test_pair_items_zero_items():
     assert pair_items(parse_descriptors(MODEL_FORMAT), 0) == ([], False)
 
 
+def reference_pairs(descriptors, item_count):
+    """Independent pairing oracle over materialised leaf lists: the first
+    pass reads the whole format, each later pass the part from the last
+    top-level group on, or the whole format when it has no group."""
+    def leaves(ds):
+        out = []
+        for d in ds:
+            if isinstance(d, Group):
+                out += leaves(d.children) * d.repeat
+            elif isinstance(d, Repeated):
+                out += [d.single] * d.repeat
+            else:
+                out.append(d)
+        return out
+
+    groups = [k for k, d in enumerate(descriptors) if isinstance(d, Group)]
+    again = leaves(descriptors[groups[-1] if groups else 0:])
+    pairs = []
+    for n, sequence in enumerate([leaves(descriptors)] + [again] * item_count):
+        if len(pairs) == item_count:
+            return pairs, n > 1
+        separators = []
+        for leaf in sequence:
+            if isinstance(leaf, (PositionX, LiteralText)):
+                separators.append(leaf)
+            elif not isinstance(leaf, RecordBreak) and len(pairs) < item_count:
+                pairs.append((leaf, tuple(separators)))
+                separators = []
+    # Passes without a data leaf leave the remaining items without one.
+    return pairs + [(None, ())] * (item_count - len(pairs)), True
+
+
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------
@@ -298,6 +398,12 @@ def test_round_trip_canonical_text(descriptors):
 @settings(max_examples=150)
 def test_record_width_matches_brute_force(descriptors):
     assert expand(descriptors).record_width == brute_width(descriptors)
+
+
+@given(descriptor_lists, st.integers(0, 30))
+@settings(max_examples=150)
+def test_pair_items_matches_reference(descriptors, item_count):
+    assert pair_items(descriptors, item_count) == reference_pairs(descriptors, item_count)
 
 
 @given(st.integers(1, 10), st.lists(_leaves, min_size=1, max_size=5))

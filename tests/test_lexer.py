@@ -145,6 +145,14 @@ def test_free_form_ampersand_continuation():
     assert names == ["OZONE", "I", "DZONE", "J"]
 
 
+def test_free_form_string_continues_after_leading_ampersand():
+    src = "open(8, file='AMP  &\n  &.DAT !x') ! comment\nwrite(8,*) 'a&\n&'\n"
+    toks = lex(src, FREE_FORM)
+    strings = [(t.lexeme, t.line, t.column) for t in toks if t.kind is TokenKind.STRING_LITERAL]
+    assert strings == [("'AMP  .DAT !x'", 1, 14), ("'a'", 3, 12)]
+    assert sum(t.kind is TokenKind.END_OF_STATEMENT for t in toks) == 2
+
+
 def test_free_form_bang_comments():
     src = "K = 1  ! trailing comment\n! whole-line comment\nWRITE(6,*) K\n"
     toks = lex(src, FREE_FORM)
