@@ -6,7 +6,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from itertools import takewhile
+from itertools import groupby, takewhile
 from pathlib import Path
 
 from . import diagnostics as diag
@@ -84,7 +84,7 @@ def build_docs(events: list[IoEvent]) -> list[DataFormatDoc]:
                 FieldEntry(
                     doc_name(item.data_type),
                     data_format_of(item.data_type, item.descriptor),
-                    tuple(descriptor_text([sep]) for sep in item.separators),
+                    _separator_texts(item.separators),
                 )
                 for item in event.items
             )
@@ -96,6 +96,14 @@ def build_docs(events: list[IoEvent]) -> list[DataFormatDoc]:
 
         docs.append(DataFormatDoc(name, direction, tuple(groups), tuple(dict.fromkeys(notes))))
     return docs
+
+
+def _separator_texts(separators) -> tuple[str, ...]:
+    """One canonical text per separator, rendered once per run of equal ones."""
+    texts: list[str] = []
+    for sep, run in groupby(separators):
+        texts += [descriptor_text([sep])] * len(list(run))
+    return tuple(texts)
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +134,8 @@ def serialize(doc: DataFormatDoc) -> str:
             attrs.append('conditional="true"')
         children.append(f'  <group {" ".join(attrs)}>')
         for entry in group.entries:
-            for sep in entry.separators_before:
-                children.append(f'    <sep format="{_esc(sep)}"/>')
+            for sep, run in groupby(entry.separators_before):
+                children += [f'    <sep format="{_esc(sep)}"/>'] * len(list(run))
             children.append(
                 f'    <{entry.type_name} format="{_esc(entry.format)}"/>')
         children.append("  </group>")
@@ -244,11 +252,10 @@ def run_cli(argv: list[str] | None = None) -> int:
 
     if args.command == "descriptor":
         try:
-            descriptors = parse_descriptors(args.text)
+            layout = expand(parse_descriptors(args.text))
         except DescriptorError as err:
             _error(err.message)
             return 1
-        layout = expand(descriptors)
         print(layout_table(layout))
         print(describe(layout))
         return 0

@@ -19,10 +19,11 @@ from .symbols import DataType
 
 
 class DescriptorError(AnalysisError):
-    """A malformed format; position is the offset within the format text."""
+    """A malformed or oversized format; position is the offset within the
+    format text, or None when the error is not at one place in it."""
 
-    def __init__(self, position: int, message: str):
-        super().__init__(f"position {position}: {message}")
+    def __init__(self, position: int | None, message: str):
+        super().__init__(message if position is None else f"position {position}: {message}")
         self.position = position
 
 
@@ -68,6 +69,10 @@ class Group:
     repeat: int
     children: tuple["EditDescriptor", ...]
 
+    def __post_init__(self):
+        if self.repeat < 1:
+            raise ValueError("a group repeats at least once")
+
 
 @dataclass(frozen=True)
 class Repeated:
@@ -80,6 +85,8 @@ class Repeated:
         # a canonical-text round trip.
         if isinstance(self.single, (PositionX, Group, Repeated)):
             raise ValueError("Repeated wraps only letter, literal and slash leaves")
+        if self.repeat < 1:
+            raise ValueError("a repeat count is at least 1")
 
 
 EditDescriptor = (
@@ -88,7 +95,6 @@ EditDescriptor = (
 )
 
 _DATA_LEAVES = (IntEdit, FixedEdit, ExpEdit, CharEdit)
-_SEPARATOR_LEAVES = (PositionX, LiteralText)
 
 
 class LayoutKind(enum.Enum):
@@ -173,6 +179,10 @@ def parse_descriptors(text: str, diagnostics: list[Diagnostic] | None = None) ->
         m = match(text, pos)
         kind, pos = m.lastgroup, m.end()
         count = int(m["count"]) if m["count"] else None
+        if count == 0 and kind not in ("hollerith", "other", "unterminated"):
+            # F77 13.5: repeat counts and the X count are nonzero.
+            what = "X count" if kind == "x" else "repeat count"
+            raise DescriptorError(m.start("count"), f"{what} must be at least 1")
         if kind == "edit":
             letter, width, frac = m["letter"].upper(), int(m["width"] or 0), m["frac"]
             if width < 1:
@@ -209,6 +219,8 @@ def parse_descriptors(text: str, diagnostics: list[Diagnostic] | None = None) ->
                 raise DescriptorError(open_groups[-1][2], "missing ')'")
             return items
         elif kind == "char":
+            if m["length"] and int(m["length"]) == 0:
+                raise DescriptorError(m.start(kind), "A descriptor width must be at least 1")
             leaf = CharEdit(int(m["length"]) if m["length"] else None)
         elif kind == "quoted":
             quote = text[m.start(kind)]
@@ -229,9 +241,10 @@ def parse_descriptors(text: str, diagnostics: list[Diagnostic] | None = None) ->
             else:
                 name = f"{int(m['factor'])}P" if m["factor"] else m[kind]
             if diagnostics is not None:
+                ignored = "" if count is None else f"; its repeat count {count} was ignored"
                 diagnostics.append(Diagnostic(
                     diag.UNSUPPORTED_DESCRIPTOR,
-                    f"control descriptor {name} has no layout effect and was skipped"))
+                    f"control descriptor {name} has no layout effect and was skipped{ignored}"))
             continue
         elif kind == "sign":
             raise DescriptorError(m.start(kind), f"unexpected {m[kind]!r}")
@@ -249,16 +262,84 @@ def parse_descriptors(text: str, diagnostics: list[Diagnostic] | None = None) ->
 # ---------------------------------------------------------------------------
 
 
+# The most descriptors one layout, or the separators of one transfer, may
+# unroll to; a larger format raises DescriptorError instead of exhausting
+# memory.  The largest transfer of the format-heavy benchmark (seed 1) takes
+# 6,630 separators.
+MAX_UNROLLED = 1_000_000
+
+
+def _run_of(d: EditDescriptor) -> tuple | None:
+    """The one (leaf, count) run d visits, or None for a group that visits
+    data leaves in more than one run.  A group without data leaves is one run
+    whose leaf is a block: the tuple of its children's runs."""
+    if isinstance(d, Repeated):
+        return d.single, d.repeat
+    if not isinstance(d, Group):
+        return d, 1
+    if len(d.children) == 1:
+        run = _run_of(d.children[0])
+        if run is not None:
+            return run[0], run[1] * d.repeat
+    if not any(map(_has_data, d.children)):
+        return tuple(map(_run_of, d.children)), d.repeat
+    return None
+
+
+def _has_data(d: EditDescriptor) -> bool:
+    if isinstance(d, Group):
+        return any(map(_has_data, d.children))
+    return isinstance(d.single if isinstance(d, Repeated) else d, _DATA_LEAVES)
+
+
+def _runs(descriptors):
+    """Yield the (leaf, count) runs a transfer visits, in order.  Only groups
+    that visit data leaves in more than one run are walked repeat by repeat,
+    so a repeat count costs time only where data leaves are paired."""
+    for d in descriptors:
+        run = _run_of(d)
+        if run is not None:
+            yield run
+        else:
+            for _ in range(d.repeat):
+                yield from _runs(d.children)
+
+
+def _count(runs, skip=()) -> int:
+    """How many leaves runs unroll to, leaves of the types in skip not counted."""
+    return sum(
+        (_count(leaf, skip) if isinstance(leaf, tuple) else not isinstance(leaf, skip)) * count
+        for leaf, count in runs)
+
+
+def _unroll(runs, skip=()) -> list[EditDescriptor]:
+    """The leaves runs unroll to, in order, without the types in skip."""
+    leaves: list[EditDescriptor] = []
+    for leaf, count in runs:
+        if isinstance(leaf, tuple):
+            leaves += _unroll(leaf, skip) * count
+        elif not isinstance(leaf, skip):
+            leaves += [leaf] * count
+    return leaves
+
+
 def expand(descriptors: list[EditDescriptor]) -> Layout:
     """Unroll repeat groups into a flat, column-tiled layout.
 
     Slash descriptors start a new record; record starts are available via
-    Layout.record_breaks and Layout.records().
+    Layout.record_breaks and Layout.records().  Raises DescriptorError when
+    the layout would exceed MAX_UNROLLED descriptors.
     """
+    runs, size = [], 0
+    for run in _runs(descriptors):
+        size += _count([run])
+        if size > MAX_UNROLLED:
+            raise DescriptorError(None, f"the format unrolls to more than {MAX_UNROLLED} descriptors")
+        runs.append(run)
     items: list[LayoutItem] = []
     breaks: list[int] = []
     column = 1
-    for d in _iter_leaves(descriptors):
+    for d in _unroll(runs):
         if isinstance(d, RecordBreak):
             breaks.append(len(items))
             column = 1
@@ -364,20 +445,6 @@ def data_format_of(
     return text
 
 
-def _iter_leaves(descriptors):
-    """Yield the leaf descriptors in the order a transfer visits them, with
-    groups and repeat counts unrolled."""
-    for d in descriptors:
-        if isinstance(d, Group):
-            for _ in range(d.repeat):
-                yield from _iter_leaves(d.children)
-        elif isinstance(d, Repeated):
-            for _ in range(d.repeat):
-                yield d.single
-        else:
-            yield d
-
-
 def pair_items(
     descriptors: list[EditDescriptor],
     item_count: int,
@@ -387,22 +454,30 @@ def pair_items(
     Position and literal leaves become separator entries attached to the
     following data leaf.  When items outnumber data leaves the descriptor
     list reverts to its last open group, per the standard reversion rule;
-    the second return value reports whether reversion was needed.
+    the second return value reports whether reversion was needed.  Raises
+    DescriptorError when the separators would exceed MAX_UNROLLED.
     """
     pairs: list[tuple[EditDescriptor | None, tuple[EditDescriptor, ...]]] = []
     segment, reverted = descriptors, False
+    unrolled = 0  # separators handed out so far
     # One pass over the segment per loop; separators do not carry over.
     while len(pairs) < item_count:
         paired = len(pairs)
-        pending: list[EditDescriptor] = []
-        for leaf in _iter_leaves(segment):
-            if isinstance(leaf, _SEPARATOR_LEAVES):
-                pending.append(leaf)
-            elif isinstance(leaf, _DATA_LEAVES):
-                pairs.append((leaf, tuple(pending)))
-                pending.clear()
-                if len(pairs) == item_count:
-                    break
+        pending: list = []  # separator runs no data leaf has taken yet
+        for leaf, count in _runs(segment):
+            if not isinstance(leaf, _DATA_LEAVES):
+                pending.append((leaf, count))
+                continue
+            unrolled += _count(pending, RecordBreak)
+            if unrolled > MAX_UNROLLED:
+                raise DescriptorError(
+                    None, f"{unrolled} separators in one transfer exceed the limit of {MAX_UNROLLED}")
+            take = min(count, item_count - len(pairs))
+            pairs.append((leaf, tuple(_unroll(pending, RecordBreak))))
+            pairs += [(leaf, ())] * (take - 1)
+            pending = []
+            if len(pairs) == item_count:
+                break
         else:
             if not reverted:
                 # Reversion restarts at the last top-level group, with its

@@ -215,6 +215,9 @@ def analyze(
     # Bindings that no OPEN made: stdin, stdout and <unit-K> placeholders.
     synthetic: dict[str, UnitBinding] = {}
 
+    # Each distinct format text is parsed once: text -> (descriptors, notes).
+    parsed: dict[str, tuple[list[EditDescriptor], list[Diagnostic]]] = {}
+
     def synthetic_binding(key: int | str, name: str) -> UnitBinding:
         if name not in synthetic:
             synthetic[name] = UnitBinding(key, name, None, 0, unit.end_line)
@@ -254,7 +257,11 @@ def analyze(
                     raise MissingFormatLabel(stmt.format.value, stmt.line)
             else:
                 text = stmt.format.descriptor_text
-            descriptors = parse_descriptors(text, notes)
+            if text not in parsed:
+                parse_notes: list[Diagnostic] = []
+                parsed[text] = parse_descriptors(text, parse_notes), parse_notes
+            descriptors, parse_notes = parsed[text]
+            notes += parse_notes
             pairs, reverted = pair_items(descriptors, len(stmt.items))
             if reverted:
                 notes.append(Diagnostic(

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import pytest
 
 from fmtderive.ioflow import analyze
@@ -67,6 +70,17 @@ def run_pipeline(source: str, dialect: str = FIXED_FORM, default_loop_count: int
     formats = attach_formats(program)
     events = analyze(program, tables, formats, default_loop_count)
     return program, tables, events
+
+
+def run_limited(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run Python code in a fresh interpreter held to 1 GiB of address space
+    and 10 seconds, so that a format unrolled without bound fails the test
+    instead of exhausting the host.  args become sys.argv[1:]."""
+    limit = "import resource\nresource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    return subprocess.run(
+        [sys.executable, "-c", limit + code, *args],
+        capture_output=True, text=True, timeout=10,
+    )
 
 
 @pytest.fixture

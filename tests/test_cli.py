@@ -7,7 +7,7 @@ import pytest
 
 from fmtderive.emit import run_cli
 
-from conftest import MODEL_SOURCE
+from conftest import MODEL_SOURCE, run_limited
 
 
 @pytest.fixture
@@ -167,8 +167,11 @@ def test_module_entry_point(model_file, tmp_path):
     ("undo.f",
      "      X = 1\n   20 DO 10 I=1,3\n      WRITE(6,*) I\n",
      ":2:7", "unterminated DO loop"),
+    ("zero.f",
+     "      OPEN(3, FILE='Z.TXT')\n      WRITE(3,100) K\n  100 FORMAT(0(I4))\n",
+     ":2", "position 0: repeat count must be at least 1"),
 ], ids=["format", "duplicate-label", "conflict", "clash", "undeclared", "missing-label", "lex",
-        "parse", "unterminated-do"])
+        "parse", "unterminated-do", "zero-count"])
 def test_errors_name_file_line_and_column(tmp_path, capsys, name, source, location, message):
     path = tmp_path / name
     path.write_text(source)
@@ -248,3 +251,36 @@ def test_latin1_source_gives_ascii_xml(tmp_path):
     assert raw.isascii()
     assert b'file="CAF&#201;.DAT"' in raw
     assert minidom.parseString(raw).documentElement.getAttribute("file") == "CAFÉ.DAT"
+
+
+_HUGE_REPEAT_SOURCE = "      OPEN(10, FILE='OUT.DAT')\n      WRITE(10,20) {}\n   20 FORMAT({})\n"
+_TIMED_CLI = (
+    "import sys, time\n"
+    "from fmtderive.emit import run_cli\n"
+    "started = time.perf_counter()\n"
+    "status = run_cli(sys.argv[1:])\n"
+    "print(status, time.perf_counter() - started)\n"
+)
+
+
+@pytest.mark.parametrize("text", ["I4,1000000000(1X)", "I4,1000000000(1X,'A')"])
+def test_huge_separator_repeat_costs_no_time(tmp_path, text):
+    src = tmp_path / "huge.f"
+    src.write_text(_HUGE_REPEAT_SOURCE.format("I, J, K", text))
+    out = tmp_path / "out"
+    result = run_limited(_TIMED_CLI, "parse", str(src), "-o", str(out))
+    assert result.stderr == ""
+    status, seconds = result.stdout.split()[-2:]
+    assert status == "0"
+    assert float(seconds) < 1.0
+    fields = minidom.parse(str(out / "OUT.DAT.format.xml")).getElementsByTagName("integer")
+    assert [f.getAttribute("format") for f in fields] == ["i4", "*", "*"]
+
+
+def test_separator_cap_fails_cleanly_under_a_memory_limit(tmp_path):
+    src = tmp_path / "cap.f"
+    src.write_text(_HUGE_REPEAT_SOURCE.format("I, J", "I4,1000000000(1X),I4"))
+    result = run_limited(
+        "from fmtderive.emit import main\nmain()\n", "parse", str(src), "-o", str(tmp_path / "out"))
+    assert (result.returncode, result.stderr) == (
+        1, f"{src}:2: error: 1000000000 separators in one transfer exceed the limit of 1000000\n")

@@ -1,8 +1,16 @@
 import re
 from xml.dom import minidom
+from xml.sax.saxutils import escape
+
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fmtderive.diagnostics import Diagnostic
 from fmtderive.emit import DataFormatDoc, FieldEntry, RecordGroup, build_docs, serialize
+from fmtderive.fmtengine import IntEdit, LiteralText, PositionX, canonical_text
+from fmtderive.ioflow import EventItem, IoEvent, Multiplicity, UnitBinding
+from fmtderive.symbols import INTEGER
+from fmtderive.syntax import Label
 
 from conftest import run_pipeline
 
@@ -214,3 +222,42 @@ def test_zero_multiplicity_group_is_kept_with_note():
     doc = docs_for(src)[0]
     assert doc.groups[0].number == 0
     assert any(d.kind == "zero-multiplicity" for d in doc.diagnostics)
+
+
+# Separator runs: equal leaves, drawn apart or repeated as one object, side by
+# side, with text that needs escaping.
+_separator_runs = st.lists(st.tuples(
+    st.one_of(
+        st.builds(PositionX, st.integers(1, 3)),
+        st.builds(LiteralText, st.text(alphabet=st.sampled_from("a<&\"' "), max_size=3)),
+    ),
+    st.integers(1, 30),
+), max_size=6)
+_items = st.lists(_separator_runs.map(
+    lambda runs: EventItem("K", INTEGER, IntEdit(4), tuple(sep for sep, n in runs for _ in range(n)))),
+    min_size=1, max_size=4)
+
+
+def one_sep_per_separator(events) -> str:
+    """Reference rendering: one canonical text and one <sep> line per separator."""
+    lines = ['<dataformat file="OUT.DAT" direction="output">']
+    for event in events:
+        lines.append('  <group number="1" separator="explicit">')
+        for item in event.items:
+            for sep in item.separators:
+                text = escape(canonical_text([sep]), {'"': "&quot;"})
+                lines.append(f'    <sep format="{text}"/>')
+            lines.append('    <integer format="i4"/>')
+        lines.append("  </group>")
+    return "\n".join(lines) + "\n</dataformat>\n"
+
+
+@given(st.lists(_items, min_size=1, max_size=3))
+def test_separator_runs_serialize_one_line_per_separator(item_lists):
+    binding = UnitBinding(10, "OUT.DAT")
+    events = [
+        IoEvent("WRITE", binding, Label(20), tuple(items), Multiplicity("1", 1), line)
+        for line, items in enumerate(item_lists, 1)
+    ]
+    [doc] = build_docs(events)
+    assert serialize(doc) == one_sep_per_separator(events)

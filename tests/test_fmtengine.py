@@ -1,7 +1,7 @@
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fmtderive.fmtengine import (
@@ -10,6 +10,8 @@ from fmtderive.fmtengine import (
     data_format_of, describe, expand, pair_items, parse_descriptors,
 )
 from fmtderive.symbols import DOUBLE_PRECISION, INTEGER, character
+
+from conftest import run_limited
 
 MODEL_FORMAT = "1X,2(1X,i4),3(1X,f12.6)"
 
@@ -127,6 +129,15 @@ def test_parse_errors(bad):
     ("I\u00b2", 0, "I descriptor needs a width"),
     ("1x,3\u00b9X", 4, "unknown edit descriptor '\u00b9'"),
     ("\u00dfI4", 0, "unknown edit descriptor '\u00df'"),
+    # F77 13.5: repeat counts, X counts and widths are nonzero.
+    ("0(I4)", 0, "repeat count must be at least 1"),
+    ("i4,00(1x)", 3, "repeat count must be at least 1"),
+    ("0I4", 0, "repeat count must be at least 1"),
+    ("0X", 0, "X count must be at least 1"),
+    ("i4,A0", 3, "A descriptor width must be at least 1"),
+    ("0'AB'", 0, "repeat count must be at least 1"),
+    ("0/", 0, "repeat count must be at least 1"),
+    ("1x,0BN", 3, "repeat count must be at least 1"),
 ])
 def test_descriptor_error_messages_and_positions(text, position, message):
     with pytest.raises(DescriptorError) as caught:
@@ -135,15 +146,27 @@ def test_descriptor_error_messages_and_positions(text, position, message):
 
 
 @pytest.mark.parametrize("text, name", [
-    ("-2P", "-2P"), ("+02p", "+02p"), ("2P", "2P"), ("02p", "2P"), (":", ":"), ("3:", ":"),
+    ("-2P", "-2P"), ("+02p", "+02p"), ("2P", "2P"), ("02p", "2P"), (":", ":"),
     ("BN", "BN"), ("bz", "BZ"), ("T10", "T10"), ("tl4", "TL4"), ("TR", "TR"),
-    ("SP", "SP"), ("ss", "SS"), ("S", "S"), ("t", "T"), ("3BN", "BN"),
+    ("SP", "SP"), ("ss", "SS"), ("S", "S"), ("t", "T"),
 ])
 def test_control_descriptor_skip_notes(text, name):
     notes = []
     assert parse_descriptors(f"{text},i4", notes) == [IntEdit(4)]
     assert [(d.kind, d.message) for d in notes] == [
         ("unsupported-descriptor", f"control descriptor {name} has no layout effect and was skipped")]
+
+
+@pytest.mark.parametrize("text, name, count", [
+    ("3BN", "BN", 3), ("3T10", "T10", 3), ("2:", ":", 2), ("3:", ":", 3), ("12tl4", "TL4", 12),
+])
+def test_control_descriptor_repeat_count_is_named(text, name, count):
+    notes = []
+    assert parse_descriptors(f"{text},i4", notes) == [IntEdit(4)]
+    assert [(d.kind, d.message) for d in notes] == [(
+        "unsupported-descriptor",
+        f"control descriptor {name} has no layout effect and was skipped;"
+        f" its repeat count {count} was ignored")]
 
 
 def test_parse_time_is_linear_in_format_length():
@@ -325,6 +348,57 @@ def test_pair_items_zero_items():
     assert pair_items(parse_descriptors(MODEL_FORMAT), 0) == ([], False)
 
 
+def test_pair_items_hands_out_separator_runs_by_count():
+    pairs, reverted = pair_items(parse_descriptors("1000(1x),2('ab',/),3i4"), 4)
+    assert reverted
+    seps = pairs[0][1]
+    assert seps == (PositionX(1),) * 1000 + (LiteralText("ab"),) * 2
+    # The fourth item comes from reversion to the last group, 2('ab',/).
+    assert [p[1] for p in pairs[1:]] == [(), (), (LiteralText("ab"),) * 2]
+    assert [p[0] for p in pairs] == [IntEdit(4)] * 4
+
+
+@pytest.mark.parametrize("text", ["I4,1000000000(1X)", "I4,1000000000(1X,'A')"])
+def test_huge_separator_repeat_pairs_in_constant_time(text):
+    # Separators no data leaf takes are never unrolled, so the repeat count
+    # costs nothing; the child is memory-limited in case it does.
+    result = run_limited(
+        "import sys, time\n"
+        "from fmtderive.fmtengine import pair_items, parse_descriptors\n"
+        "descriptors = parse_descriptors(sys.argv[1])\n"
+        "started = time.perf_counter()\n"
+        "pairs = pair_items(descriptors, 3)\n"
+        "print(time.perf_counter() - started)\n"
+        "print(repr(pairs))\n",
+        text)
+    assert result.stderr == ""
+    seconds, pairs = result.stdout.splitlines()
+    assert float(seconds) < 1.0
+    assert pairs == repr(([(IntEdit(4), ()), (None, ()), (None, ())], True))
+
+
+def test_separator_cap_raises_under_a_memory_limit():
+    result = run_limited(
+        "from fmtderive.fmtengine import DescriptorError, pair_items, parse_descriptors\n"
+        "try:\n"
+        "    pair_items(parse_descriptors('I4,1000000000(1X),I4'), 2)\n"
+        "except DescriptorError as err:\n"
+        "    print(err.position, err.message)\n")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "None 1000000000 separators in one transfer exceed the limit of 1000000\n"
+
+
+def test_expand_cap_raises_under_a_memory_limit():
+    result = run_limited(
+        "from fmtderive.fmtengine import DescriptorError, expand, parse_descriptors\n"
+        "try:\n"
+        "    expand(parse_descriptors(\"i4,1000000000(1x,'a')\"))\n"
+        "except DescriptorError as err:\n"
+        "    print(err.position, err.message)\n")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "None the format unrolls to more than 1000000 descriptors\n"
+
+
 def reference_pairs(descriptors, item_count):
     """Independent pairing oracle over materialised leaf lists: the first
     pass reads the whole format, each later pass the part from the last
@@ -387,6 +461,35 @@ def _wrap_tree(children):
 descriptor_trees = st.recursive(_leaves, _wrap_tree, max_leaves=12)
 descriptor_lists = st.lists(descriptor_trees, max_size=6)
 
+# Wider trees for pairing: repeat counts up to 40 and groups without data
+# leaves, nested or not, which pairing carries as one block.
+_separator_leaves = st.one_of(
+    st.builds(PositionX, st.integers(1, 99)),
+    st.builds(LiteralText, st.text(alphabet=st.sampled_from("ab '"), max_size=3)),
+    st.just(RecordBreak()),
+)
+_separator_trees = st.recursive(_separator_leaves, lambda children: st.builds(
+    Group, st.integers(1, 40), st.lists(children, min_size=1, max_size=3).map(tuple)),
+    max_leaves=4)
+
+
+def _wide_wrap(children):
+    return st.one_of(
+        st.builds(Group, st.integers(1, 40),
+                  st.lists(st.one_of(children, _separator_trees), min_size=1, max_size=4).map(tuple)),
+        st.builds(Repeated, st.integers(1, 40), _repeatable_leaves),
+    )
+
+
+wide_descriptor_lists = st.lists(st.recursive(_leaves, _wide_wrap, max_leaves=10), max_size=6)
+
+
+def unrolled_size(descriptors) -> int:
+    return sum(
+        d.repeat * unrolled_size(d.children) if isinstance(d, Group)
+        else d.repeat if isinstance(d, Repeated) else 1
+        for d in descriptors)
+
 
 @given(descriptor_lists)
 @settings(max_examples=150)
@@ -400,9 +503,11 @@ def test_record_width_matches_brute_force(descriptors):
     assert expand(descriptors).record_width == brute_width(descriptors)
 
 
-@given(descriptor_lists, st.integers(0, 30))
-@settings(max_examples=150)
+@given(wide_descriptor_lists, st.integers(0, 120))
+@settings(max_examples=300, deadline=None)
 def test_pair_items_matches_reference(descriptors, item_count):
+    # The reference reads every leaf of every pass, so keep its lists short.
+    assume(unrolled_size(descriptors) <= 5000)
     assert pair_items(descriptors, item_count) == reference_pairs(descriptors, item_count)
 
 

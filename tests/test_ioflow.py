@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fmtderive import ioflow
 from fmtderive.fmtengine import FixedEdit, IntEdit, PositionX
 from fmtderive.ioflow import (
     MissingFormatLabel, Multiplicity, bind_units, loop_multiplicity,
@@ -278,6 +279,23 @@ def test_reversion_note_when_items_outnumber_descriptors():
     event = events[0]
     assert [i.descriptor for i in event.items] == [IntEdit(4)] * 3
     assert any(d.kind == "descriptor-arity" for d in event.diagnostics)
+
+
+def test_each_format_text_is_parsed_once(monkeypatch):
+    texts = []
+
+    def counting(text, notes=None):
+        texts.append(text)
+        return parse(text, notes)
+
+    parse = ioflow.parse_descriptors
+    monkeypatch.setattr(ioflow, "parse_descriptors", counting)
+    source = "      OPEN(3, FILE='A.TXT')\n" + "      WRITE(3,100) K\n" * 5 + "  100 FORMAT(BN,I4)\n"
+    _, _, events = run_pipeline(source)
+    assert len(texts) == 1
+    note = "control descriptor BN has no layout effect and was skipped"
+    assert [[d.message for d in e.diagnostics if d.kind == "unsupported-descriptor"]
+            for e in events] == [[note]] * 5
 
 
 def test_type_descriptor_mismatch_is_diagnosed():
