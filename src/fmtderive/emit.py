@@ -18,7 +18,7 @@ from .fmtengine import (
 from .ioflow import IoEvent, analyze, dump_events
 from .lexer import FIXED_FORM, FREE_FORM, SourceUnit, describe_token, tokenize
 from .symbols import build_tables, doc_name, dump_symbols
-from .syntax import ListDirected, attach_formats, dump_ast, parse
+from .syntax import ListDirected, attach_formats, dump_ast, expr_text, parse
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def build_docs(events: list[IoEvent]) -> list[DataFormatDoc]:
             number: int | str = mult.resolved
             resolved_default = None
             if mult.defaulted:
-                number = mult.symbolic
+                number = expr_text(mult.count)
                 resolved_default = mult.resolved
             entries = tuple(
                 FieldEntry(

@@ -305,6 +305,14 @@ def _runs(descriptors):
                 yield from _runs(d.children)
 
 
+def _size(descriptors) -> int:
+    """How many leaves descriptors unroll to, counted on the tree."""
+    return sum(
+        d.repeat * _size(d.children) if isinstance(d, Group)
+        else d.repeat if isinstance(d, Repeated) else 1
+        for d in descriptors)
+
+
 def _count(runs, skip=()) -> int:
     """How many leaves runs unroll to, leaves of the types in skip not counted."""
     return sum(
@@ -330,16 +338,12 @@ def expand(descriptors: list[EditDescriptor]) -> Layout:
     Layout.record_breaks and Layout.records().  Raises DescriptorError when
     the layout would exceed MAX_UNROLLED descriptors.
     """
-    runs, size = [], 0
-    for run in _runs(descriptors):
-        size += _count([run])
-        if size > MAX_UNROLLED:
-            raise DescriptorError(None, f"the format unrolls to more than {MAX_UNROLLED} descriptors")
-        runs.append(run)
+    if _size(descriptors) > MAX_UNROLLED:
+        raise DescriptorError(None, f"the format unrolls to more than {MAX_UNROLLED} descriptors")
     items: list[LayoutItem] = []
     breaks: list[int] = []
     column = 1
-    for d in _unroll(runs):
+    for d in _unroll(_runs(descriptors)):
         if isinstance(d, RecordBreak):
             breaks.append(len(items))
             column = 1

@@ -4,6 +4,7 @@ and loop-multiplicity computation."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from . import diagnostics as diag
 from .diagnostics import AnalysisError, Diagnostic
@@ -13,8 +14,8 @@ from .symbols import (
     lookup_type,
 )
 from .syntax import (
-    CloseStmt, DoStmt, Inline, IntExpr, IoStmt, Label, ListDirected, Literal,
-    OpenStmt, ProgramUnit, StarUnit, expr_text, walk,
+    BinOp, CloseStmt, DoStmt, Inline, IntExpr, IoStmt, Label, ListDirected,
+    Literal, OpenStmt, ProgramUnit, StarUnit, expr_text, walk,
 )
 
 STDIN_NAME = "<stdin>"
@@ -39,7 +40,7 @@ class UnitBinding:
 
 @dataclass(frozen=True)
 class Multiplicity:
-    symbolic: str
+    count: IntExpr  # the trip-count product
     resolved: int
     conditional: bool = False
     defaulted: bool = False
@@ -64,13 +65,10 @@ class IoEvent:
     diagnostics: tuple[Diagnostic, ...] = ()
 
 
-def _eval_unit(expr: IntExpr, tables: SymbolTables | None) -> int | None:
-    if isinstance(expr, Literal):
-        return expr.value
-    if tables is None:
-        return None
-    value = eval_int(tables, expr)
-    return value if isinstance(value, int) else None
+def _unit_key(expr: IntExpr, tables: SymbolTables) -> int | str:
+    """The unit's number, or its text when the number is not constant."""
+    number = eval_int(tables, expr)
+    return number if isinstance(number, int) else expr_text(expr)
 
 
 def bind_units(unit: ProgramUnit, tables: SymbolTables | None = None) -> list[UnitBinding]:
@@ -81,13 +79,13 @@ def bind_units(unit: ProgramUnit, tables: SymbolTables | None = None) -> list[Un
     at the end of the program are closed at the unit's last line, so live
     ranges never overlap.
     """
+    tables = tables or SymbolTables()
     bindings: list[UnitBinding] = []
     live: dict[int | str, UnitBinding] = {}  # unit -> its open binding
     for stmt, _ in walk(unit.statements):
         if not isinstance(stmt, (OpenStmt, CloseStmt)):
             continue
-        number = _eval_unit(stmt.unit, tables)
-        key: int | str = number if number is not None else expr_text(stmt.unit)
+        key = _unit_key(stmt.unit, tables)
         if key in live:
             live.pop(key).closed_at = stmt.line
         if isinstance(stmt, OpenStmt):
@@ -95,7 +93,7 @@ def bind_units(unit: ProgramUnit, tables: SymbolTables | None = None) -> list[Un
             if stmt.file_name is not None:
                 name = stmt.file_name
             elif stmt.file_symbol is not None:
-                constant = tables.find_constant(stmt.file_symbol) if tables else None
+                constant = tables.find_constant(stmt.file_symbol)
                 if constant is not None and isinstance(constant.value, str):
                     name = constant.value
                 else:
@@ -119,67 +117,41 @@ def bind_units(unit: ProgramUnit, tables: SymbolTables | None = None) -> list[Un
 # ---------------------------------------------------------------------------
 
 
-def _trunc_div(numerator: int, denominator: int) -> int:
-    q, r = divmod(numerator, denominator)
-    if r != 0 and (numerator < 0) != (denominator < 0):
-        q += 1
-    return q
-
-
-def _trip_count(do: DoStmt, tables: SymbolTables) -> int | None:
-    start = eval_int(tables, do.start)
-    stop = eval_int(tables, do.stop)
-    step = eval_int(tables, do.step) if do.step is not None else 1
-    if isinstance(start, Unresolved) or isinstance(stop, Unresolved) or isinstance(step, Unresolved):
-        return None
-    if step == 0:
-        return None
-    return max(0, _trunc_div(stop - start + step, step))
-
-
-def _trip_symbolic(do: DoStmt) -> str:
-    start = expr_text(do.start)
-    stop = expr_text(do.stop)
-    step = expr_text(do.step) if do.step is not None else "1"
-    if step == "1":
-        if start == "1":
-            return stop
-        return f"{stop}-{start}+1"
-    return f"({stop}-{start})/{step}+1"
-
-
-def _wrap(term: str) -> str:
-    return f"({term})" if any(op in term for op in "+-/") else term
-
-
-def loop_multiplicity(
-    path: tuple[DoStmt, ...] | list[DoStmt],
+def trip_count(
+    do: DoStmt,
     tables: SymbolTables,
     default_count: int = 1,
+    diagnostics: list[Diagnostic] | None = None,
 ) -> Multiplicity:
-    """Multiply trip counts along a DO-nesting chain.
+    """The iteration count of one DO loop, MAX(INT((m2-m1+m3)/m3),0)
+    (F77 11.10.3), written stop for 1,stop and stop-start+1 for a step of 1.
 
-    A loop whose bounds cannot be resolved through the constant table
-    contributes the caller-supplied default count and flags the result as
-    defaulted; the symbolic product always keeps the full expression.
+    A loop whose count the constant table cannot resolve counts
+    default_count and is flagged as defaulted; the notes of constants its
+    bounds name that could not be resolved go to diagnostics.
     """
-    if not path:
-        return Multiplicity("1", 1)
-    parts: list[str] = []
-    total = 1
-    defaulted = False
-    for do in path:
-        parts.append(_trip_symbolic(do))
-        trips = _trip_count(do, tables)
-        if trips is None:
-            defaulted = True
-            trips = default_count
-        total *= trips
-    if len(parts) == 1:
-        symbolic = parts[0]
+    start, stop, step = do.start, do.stop, do.step or Literal(1)
+    if step != Literal(1):
+        count: IntExpr = BinOp("/", BinOp("+", BinOp("-", stop, start), step), step)
+    elif start != Literal(1):
+        count = BinOp("+", BinOp("-", stop, start), Literal(1))
     else:
-        symbolic = "*".join(_wrap(p) for p in parts)
-    return Multiplicity(symbolic, total, defaulted=defaulted)
+        count = stop
+    value = eval_int(tables, count, diagnostics)
+    if isinstance(value, Unresolved):
+        return Multiplicity(count, default_count, defaulted=True)
+    return Multiplicity(count, max(0, value))
+
+
+def loop_multiplicity(trips: list[Multiplicity]) -> Multiplicity:
+    """Multiply the trip counts of a DO-nesting chain, outermost first; the
+    count is defaulted when any loop's is."""
+    if not trips:
+        return Multiplicity(Literal(1), 1)
+    return reduce(lambda outer, inner: Multiplicity(
+        BinOp("*", outer.count, inner.count), outer.resolved * inner.resolved,
+        defaulted=outer.defaulted or inner.defaulted,
+    ), trips)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +189,8 @@ def analyze(
 
     # Each distinct format text is parsed once: text -> (descriptors, notes).
     parsed: dict[str, tuple[list[EditDescriptor], list[Diagnostic]]] = {}
+    # Each loop's trip count is built once: id(DoStmt) -> (count, notes).
+    trips: dict[int, tuple[Multiplicity, list[Diagnostic]]] = {}
 
     def synthetic_binding(key: int | str, name: str) -> UnitBinding:
         if name not in synthetic:
@@ -228,17 +202,16 @@ def analyze(
         notes: list[Diagnostic] = []
 
         if isinstance(stmt.unit, StarUnit):  # unit 5 for READ, 6 for WRITE
-            number, binding = (5 if direction == "READ" else 6), None
+            key, binding = (5 if direction == "READ" else 6), None
         else:
-            number = _eval_unit(stmt.unit, tables)
-            key: int | str = number if number is not None else expr_text(stmt.unit)
+            key = _unit_key(stmt.unit, tables)
             binding = opened.get(key)
             if binding is not None and binding.closed_at < stmt.line:
                 binding = None
         if binding is None:
-            if number == 5 and direction == "READ":
+            if key == 5 and direction == "READ":
                 binding = synthetic_binding(5, STDIN_NAME)
-            elif number == 6 and direction == "WRITE":
+            elif key == 6 and direction == "WRITE":
                 binding = synthetic_binding(6, STDOUT_NAME)
             else:
                 notes.append(Diagnostic(
@@ -288,16 +261,18 @@ def analyze(
                 stmt.line,
             ))
 
-        mult = loop_multiplicity(loops, tables, default_loop_count)
+        for do in loops:
+            notes += trips[id(do)][1]
+        mult = loop_multiplicity([trips[id(do)][0] for do in loops])
         if mult.defaulted:
             notes.append(Diagnostic(
                 diag.DEFAULT_LOOP_COUNT,
-                f"loop count {mult.symbolic} is not constant; default"
+                f"loop count {expr_text(mult.count)} is not constant; default"
                 f" {default_loop_count} used per loop",
                 stmt.line,
             ))
         if stmt.conditional:
-            mult = Multiplicity(mult.symbolic, mult.resolved, True, mult.defaulted)
+            mult = Multiplicity(mult.count, mult.resolved, True, mult.defaulted)
 
         return IoEvent(
             direction, binding, stmt.format, tuple(items), mult,
@@ -309,6 +284,9 @@ def analyze(
         if isinstance(stmt, OpenStmt):
             binding = next(bindings)
             opened[binding.unit] = binding
+        elif isinstance(stmt, DoStmt):
+            loop_notes: list[Diagnostic] = []
+            trips[id(stmt)] = trip_count(stmt, tables, default_loop_count, loop_notes), loop_notes
         elif isinstance(stmt, IoStmt):
             try:
                 events.append(event(stmt, loops))
@@ -334,6 +312,6 @@ def dump_events(events: list[IoEvent]) -> str:
             flags += " defaulted"
         lines.append(
             f"line {e.source_line}: {e.direction} {e.binding.file_name}"
-            f" x{e.multiplicity.resolved} ({e.multiplicity.symbolic}){flags} [{items}]"
+            f" x{e.multiplicity.resolved} ({expr_text(e.multiplicity.count)}){flags} [{items}]"
         )
     return "\n".join(lines)

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from . import diagnostics as diag
 from .diagnostics import AnalysisError, Diagnostic
 from .syntax import (
-    DeclStmt, IntExpr, IoItem, Literal, OtherStmt, ParameterStmt, Product,
-    ProgramUnit, Sum, SymbolRef, expr_text, flatten,
+    DeclStmt, IntExpr, IoItem, Literal, Neg, OtherStmt, ParameterStmt,
+    ProgramUnit, SymbolRef, expr_text, flatten,
 )
 
 
@@ -86,7 +86,8 @@ class VariableEntry:
 class ConstantEntry:
     name: str  # case-folded
     data_type: DataType
-    value: int | float | str
+    value: int | float | str | Unresolved
+    note: Diagnostic | None = None  # why the value is Unresolved
 
 
 @dataclass
@@ -109,8 +110,15 @@ class SymbolTables:
         entry = self.variables.get(name.upper())
         return entry if entry is None or process in (None, entry.process) else None
 
-    def find_constant(self, name: str) -> ConstantEntry | None:
-        return self.constants.get(name.upper())
+    def find_constant(
+        self, name: str, diagnostics: list[Diagnostic] | None = None,
+    ) -> ConstantEntry | None:
+        """The constant of that name; the note of one whose value could not
+        be resolved is appended to diagnostics."""
+        entry = self.constants.get(name.upper())
+        if entry is not None and entry.note is not None and diagnostics is not None:
+            diagnostics.append(entry.note)
+        return entry
 
 
 def implicit_type(name: str) -> DataType:
@@ -172,21 +180,21 @@ def build_tables(unit: ProgramUnit) -> SymbolTables:
                 else:
                     dtype = implicit_type(name)
 
+                note = None
                 if not isinstance(value, (int, float, str)):
-                    resolved = eval_int(tables, value)
-                    if isinstance(resolved, Unresolved):
-                        tables.diagnostics.append(Diagnostic(
+                    value = eval_int(tables, value)
+                    if isinstance(value, Unresolved):
+                        note = Diagnostic(
                             diag.UNRESOLVED_CONSTANT,
-                            f"constant {raw_name} = {resolved.text} cannot be resolved",
+                            f"constant {raw_name} = {value.text} cannot be resolved",
                             stmt.line,
-                        ))
-                        continue
-                    value = resolved
+                        )
+                        tables.diagnostics.append(note)
                 if dtype.name == "INTEGER" and isinstance(value, float):
                     value = int(value)
                 elif dtype.name in ("REAL", "DOUBLE_PRECISION") and isinstance(value, int):
                     value = float(value)
-                tables.constants[name] = ConstantEntry(name, dtype, value)
+                tables.constants[name] = ConstantEntry(name, dtype, value, note)
     return tables
 
 
@@ -205,7 +213,7 @@ def lookup_type(
     variable = tables.find_variable(item.name, process)
     if variable is not None:
         return variable.data_type
-    constant = tables.find_constant(item.name)
+    constant = tables.find_constant(item.name, diagnostics)
     if constant is not None:
         return constant.data_type
     if tables.implicit_none:
@@ -219,27 +227,32 @@ def lookup_type(
     return inferred
 
 
-def eval_int(tables: SymbolTables, expr: IntExpr) -> int | Unresolved:
-    """Evaluate an integer expression against the constant table."""
+def eval_int(
+    tables: SymbolTables, expr: IntExpr, diagnostics: list[Diagnostic] | None = None,
+) -> int | Unresolved:
+    """Evaluate an integer expression against the constant table.  Division
+    truncates toward zero, as in FORTRAN.  A name without an integral constant
+    value, or a division by zero, leaves the expression Unresolved; the notes
+    of named constants that could not be resolved go to diagnostics."""
     if isinstance(expr, Literal):
         return expr.value
     if isinstance(expr, SymbolRef):
-        constant = tables.find_constant(expr.name)
-        if constant is None:
-            return Unresolved(expr.name)
-        value = constant.value
-        if isinstance(value, int):
-            return value
+        constant = tables.find_constant(expr.name, diagnostics)
+        value = constant.value if constant is not None else None
         if isinstance(value, float) and value.is_integer():
-            return int(value)
-        return Unresolved(expr.name)
-    if isinstance(expr, (Product, Sum)):
-        left = eval_int(tables, expr.left)
-        right = eval_int(tables, expr.right)
-        if isinstance(left, Unresolved) or isinstance(right, Unresolved):
-            return Unresolved(expr_text(expr))
-        return left * right if isinstance(expr, Product) else left + right
-    raise TypeError(f"not an IntExpr: {expr!r}")
+            value = int(value)
+        return value if isinstance(value, int) else Unresolved(expr.name)
+    if isinstance(expr, Neg):
+        value = eval_int(tables, expr.operand, diagnostics)
+        return Unresolved(expr_text(expr)) if isinstance(value, Unresolved) else -value
+    left = eval_int(tables, expr.left, diagnostics)
+    right = eval_int(tables, expr.right, diagnostics)
+    if isinstance(left, Unresolved) or isinstance(right, Unresolved) or (expr.op == "/" and right == 0):
+        return Unresolved(expr_text(expr))
+    if expr.op == "/":
+        quotient = abs(left) // abs(right)
+        return quotient if (left < 0) == (right < 0) else -quotient
+    return left + right if expr.op == "+" else left - right if expr.op == "-" else left * right
 
 
 def dump_symbols(tables: SymbolTables) -> str:
@@ -253,7 +266,8 @@ def dump_symbols(tables: SymbolTables) -> str:
         lines.append(f"  {v.name}{dims}: {doc_name(v.data_type)} [{v.process}]")
     lines.append("constants:")
     for c in tables.constants.values():
-        lines.append(f"  {c.name} = {c.value!r}: {doc_name(c.data_type)}")
+        value = f"{c.value.text} (unresolved)" if isinstance(c.value, Unresolved) else repr(c.value)
+        lines.append(f"  {c.name} = {value}: {doc_name(c.data_type)}")
     for note in tables.diagnostics:
         lines.append(f"{note.kind} at line {note.line}: {note.message}")
     if tables.implicit_none:

@@ -43,30 +43,38 @@ class SymbolRef:
 
 
 @dataclass(frozen=True)
-class Product:
+class BinOp:
+    op: str  # + - * or /
     left: "IntExpr"
     right: "IntExpr"
 
 
 @dataclass(frozen=True)
-class Sum:
-    left: "IntExpr"
-    right: "IntExpr"
+class Neg:
+    operand: "IntExpr"
 
 
-IntExpr = Literal | SymbolRef | Product | Sum
+IntExpr = Literal | SymbolRef | BinOp | Neg
+
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
-def expr_text(expr: IntExpr) -> str:
+def expr_text(expr: IntExpr, context: int = 0) -> str:
+    """Render expr with the fewest parentheses that parse back to the same
+    tree; context is the precedence its position needs.  Operators are left
+    associative, and a leading minus negates the first product of a sum."""
     if isinstance(expr, Literal):
         return str(expr.value)
     if isinstance(expr, SymbolRef):
         return expr.name
-    if isinstance(expr, Product):
-        return f"{expr_text(expr.left)}*{expr_text(expr.right)}"
-    if isinstance(expr, Sum):
-        return f"{expr_text(expr.left)}+{expr_text(expr.right)}"
-    raise TypeError(f"not an IntExpr: {expr!r}")
+    if isinstance(expr, Neg):
+        own, text = 1, "-" + expr_text(expr.operand, 2)
+    elif isinstance(expr, BinOp):
+        own = _PRECEDENCE[expr.op]
+        text = expr_text(expr.left, own) + expr.op + expr_text(expr.right, own + 1)
+    else:
+        raise TypeError(f"not an IntExpr: {expr!r}")
+    return f"({text})" if own < context else text
 
 
 # ---------------------------------------------------------------------------
@@ -280,56 +288,45 @@ class _Opaque(Exception):
 
 
 def _parse_int_expr(toks: list[Token], line: int) -> IntExpr:
-    """Parse literals, names, sums and products; fall back to an opaque
-    symbolic reference for anything richer."""
+    """Parse integer constants, names, + - * /, a leading sign and
+    parentheses, with FORTRAN precedence; anything richer (**, function
+    calls, 0:4) becomes an opaque SymbolRef of its text."""
     if not toks:
         raise ParseError(line, "missing expression")
-
-    pos = 0
-
-    def atom() -> IntExpr:
-        nonlocal pos
-        tok = toks[pos] if pos < len(toks) else None
-        if tok is None:
-            raise _Opaque
-        if tok.kind is TokenKind.INTEGER_CONSTANT:
-            pos += 1
-            return Literal(int(tok.lexeme))
-        if tok.kind is TokenKind.IDENTIFIER:
-            pos += 1
-            return SymbolRef(tok.lexeme.upper())
-        if _is_punct(tok, "LPAREN"):
-            close = _match_paren(toks, pos)
-            if close is None:
-                raise _Opaque
-            inner = _parse_int_expr(toks[pos + 1:close], line)
-            pos = close + 1
-            return inner
-        raise _Opaque
-
-    def product() -> IntExpr:
-        nonlocal pos
-        left = atom()
-        while pos < len(toks) and _is_punct(toks[pos], "ASTERISK"):
-            pos += 1
-            left = Product(left, atom())
-        return left
-
-    def summation() -> IntExpr:
-        nonlocal pos
-        left = product()
-        while pos < len(toks) and _is_punct(toks[pos], "OTHER") and toks[pos].lexeme == "+":
-            pos += 1
-            left = Sum(left, product())
-        return left
-
     try:
-        expr = summation()
-        if pos != len(toks):
-            raise _Opaque
-        return expr
+        expr, end = _operand(toks, 0, 1)
+        if end == len(toks):
+            return expr
     except _Opaque:
-        return SymbolRef(_raw_text(toks))
+        pass
+    return SymbolRef(_raw_text(toks))
+
+
+def _operand(toks: list[Token], pos: int, level: int) -> tuple[IntExpr, int]:
+    """The sum (level 1), product (level 2) or primary (level 3) that starts
+    at toks[pos], and the position after it."""
+    tok = toks[pos] if pos < len(toks) else None
+    if level == 3:
+        if tok is not None and tok.kind is TokenKind.INTEGER_CONSTANT:
+            return Literal(int(tok.lexeme)), pos + 1
+        if tok is not None and tok.kind is TokenKind.IDENTIFIER:
+            return SymbolRef(tok.lexeme.upper()), pos + 1
+        if _is_punct(tok, "LPAREN"):
+            inner, pos = _operand(toks, pos + 1, 1)
+            if pos < len(toks) and _is_punct(toks[pos], "RPAREN"):
+                return inner, pos + 1
+        raise _Opaque
+    sign = tok.lexeme if level == 1 and _is_punct(tok, "OTHER") else None
+    if sign in ("+", "-"):
+        pos += 1
+    left, pos = _operand(toks, pos, level + 1)
+    if sign == "-":
+        left = Neg(left)
+    # Only punctuation tokens are spelled + - * or /.
+    while pos < len(toks) and _PRECEDENCE.get(toks[pos].lexeme) == level:
+        right, end = _operand(toks, pos + 1, level + 1)
+        left, pos = BinOp(toks[pos].lexeme, left, right), end
+    return left, pos
 
 
 # ---------------------------------------------------------------------------
@@ -405,21 +402,17 @@ def _parse_parameter(toks: list[Token], line: int) -> ParameterStmt:
 
 
 def _parse_param_value(toks: list[Token], line: int) -> object:
-    sign = 1
-    if len(toks) >= 2 and _is_punct(toks[0], "OTHER") and toks[0].lexeme in "+-":
-        if toks[0].lexeme == "-":
-            sign = -1
-        toks = toks[1:]
-    if len(toks) == 1:
-        tok = toks[0]
+    """A signed integer or real constant, or a string, as its Python value;
+    anything else as an IntExpr."""
+    tok = toks[-1]
+    if len(toks) == 1 and tok.kind is TokenKind.STRING_LITERAL:
+        return _string_value(tok)
+    if len(toks) == 1 or len(toks) == 2 and toks[0].lexeme in ("+", "-"):
+        sign = -1 if toks[0].lexeme == "-" else 1
         if tok.kind is TokenKind.INTEGER_CONSTANT:
             return sign * int(tok.lexeme)
         if tok.kind is TokenKind.REAL_CONSTANT:
             return sign * float(tok.lexeme.upper().replace("D", "E"))
-        if tok.kind is TokenKind.STRING_LITERAL:
-            return _string_value(tok)
-    if sign == -1:
-        return SymbolRef("-" + _raw_text(toks))
     return _parse_int_expr(toks, line)
 
 

@@ -22,7 +22,7 @@ from fmtderive.syntax import (
 from conftest import MODEL_SOURCE, TOLERANT_SOURCE, run_pipeline
 from test_emit import BASIC_GOLDEN, ODTIME_GOLDEN
 from test_fmtengine import brute_width, descriptor_lists
-from test_ioflow import build_loop_source, simulate_loops
+from test_ioflow import build_loop_source, loop_specs, simulate_loops
 
 
 def test_criterion_1_model_example_end_to_end(tmp_path):
@@ -56,24 +56,13 @@ def test_criterion_2_descriptor_expansion():
     assert layout.record_width == 1 + 2 * (1 + 4) + 3 * (1 + 12) == 50
 
 
-_loop_specs = st.lists(
-    st.tuples(
-        st.integers(1, 3),   # start
-        st.integers(1, 20),  # stop (clamped to >= start)
-        st.integers(1, 3),   # step
-        st.booleans(),       # stop spelled as a PARAMETER constant
-    ),
-    min_size=0, max_size=3,
-)
-
-
-@given(specs=_loop_specs, shared=st.booleans())
+@given(specs=loop_specs, shared=st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_criterion_3_multiplicity_matches_simulator(specs, shared):
-    specs = [(a, max(a, b), c, k) for a, b, c, k in specs]
     source, bounds = build_loop_source(specs, shared)
     _, _, events = run_pipeline(source)
     assert len(events) == 1
+    assert not events[0].multiplicity.defaulted
     assert events[0].multiplicity.resolved == simulate_loops(bounds)
 
 

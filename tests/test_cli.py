@@ -197,6 +197,10 @@ def test_non_ascii_digits_lex_as_punctuation(tmp_path):
     result = _run_module(["parse", str(fixed), "-o", str(out), "--dump-symbols"], "utf-8")
     assert (result.returncode, result.stderr) == (0, "")
     assert "unresolved-constant at line 1: constant N = \u00b2 cannot be resolved" in result.stdout
+    assert "  N = \u00b2 (unresolved): integer" in result.stdout
+    doc = (out / "stdout.format.xml").read_text()
+    assert '<note kind="unresolved-constant" line="1">constant N = &#178; cannot be resolved' in doc
+    assert "is undeclared" not in doc
     result = _run_module(["parse", str(free), "--dialect", "free", "-o", str(out),
                           "--dump-tokens"], "utf-8")
     assert (result.returncode, result.stderr) == (0, "")

@@ -10,7 +10,7 @@ from fmtderive.emit import DataFormatDoc, FieldEntry, RecordGroup, build_docs, s
 from fmtderive.fmtengine import IntEdit, LiteralText, PositionX, canonical_text
 from fmtderive.ioflow import EventItem, IoEvent, Multiplicity, UnitBinding
 from fmtderive.symbols import INTEGER
-from fmtderive.syntax import Label
+from fmtderive.syntax import Label, Literal
 
 from conftest import run_pipeline
 
@@ -170,6 +170,28 @@ def test_defaulted_multiplicity_serialization():
     assert "<note" in text
 
 
+def test_parameter_spelled_bounds_document_resolved_counts():
+    src = "      PARAMETER (N=10)\n      OPEN(8,FILE='P.TXT')\n" + "".join(
+        f"      DO {label} I={bounds}\n      WRITE(8,*) I\n{label:5d} CONTINUE\n"
+        for label, bounds in ((10, "N,1,-1"), (20, "1,N-1"), (30, "1,N/2"), (40, "1,0,2")))
+    text = serialize(docs_for(src)[0])
+    assert re.findall(r'<group number="(\w+)" separator', text) == ["10", "9", "5", "0"]
+    assert "default-loop-count" not in text
+
+
+def test_unresolved_constant_note_reaches_the_document():
+    src = (
+        "      PARAMETER (N=M+1)\n"
+        "      WRITE(6,*) N\n"
+        "      DO 10 I=1,N\n      WRITE(6,*) I\n   10 CONTINUE\n"
+    )
+    text = serialize(docs_for(src)[0])
+    note = '<note kind="unresolved-constant" line="1">constant N = M+1 cannot be resolved</note>'
+    assert text.count(note) == 1
+    assert "N is undeclared" not in text
+    assert '<group number="N" resolved="1" resolution="default"' in text
+
+
 def test_conditional_group_attribute(tolerant_source):
     doc = docs_for(tolerant_source)[0]
     assert [g.conditional for g in doc.groups] == [True, False]
@@ -256,7 +278,7 @@ def one_sep_per_separator(events) -> str:
 def test_separator_runs_serialize_one_line_per_separator(item_lists):
     binding = UnitBinding(10, "OUT.DAT")
     events = [
-        IoEvent("WRITE", binding, Label(20), tuple(items), Multiplicity("1", 1), line)
+        IoEvent("WRITE", binding, Label(20), tuple(items), Multiplicity(Literal(1), 1), line)
         for line, items in enumerate(item_lists, 1)
     ]
     [doc] = build_docs(events)

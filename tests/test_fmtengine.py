@@ -399,6 +399,17 @@ def test_expand_cap_raises_under_a_memory_limit():
     assert result.stdout == "None the format unrolls to more than 1000000 descriptors\n"
 
 
+@pytest.mark.parametrize("text", ["1000000000(1x,i4)", "1000000000(1x,2(i4,1x))"])
+def test_expand_cap_is_checked_before_walking(text):
+    # The size is counted on the tree, so these fail at once instead of after
+    # walking half a million repeats.
+    descriptors = parse_descriptors(text)
+    started = time.perf_counter()
+    with pytest.raises(DescriptorError, match="unrolls to more than 1000000"):
+        expand(descriptors)
+    assert time.perf_counter() - started < 0.2
+
+
 def reference_pairs(descriptors, item_count):
     """Independent pairing oracle over materialised leaf lists: the first
     pass reads the whole format, each later pass the part from the last

@@ -5,14 +5,14 @@ from hypothesis import strategies as st
 from fmtderive import ioflow
 from fmtderive.fmtengine import FixedEdit, IntEdit, PositionX
 from fmtderive.ioflow import (
-    MissingFormatLabel, Multiplicity, bind_units, loop_multiplicity,
+    MissingFormatLabel, Multiplicity, bind_units, loop_multiplicity, trip_count,
 )
 from fmtderive.lexer import SourceUnit, tokenize
 from fmtderive.symbols import (
     DOUBLE_PRECISION, INTEGER, SymbolTables, build_tables,
 )
 from fmtderive.syntax import (
-    DoStmt, IoStmt, Label, ListDirected, Literal, SymbolRef,
+    DoStmt, IoStmt, Label, ListDirected, Literal, SymbolRef, expr_text,
     flatten, parse,
 )
 
@@ -163,44 +163,48 @@ def _do(var, start, stop, step=None):
     return DoStmt(None, var, start, stop, step, [])
 
 
+def _nest(path, tables, default_count=1):
+    return loop_multiplicity([trip_count(do, tables, default_count) for do in path])
+
+
 def test_double_loop_multiplicity(model_program):
     tables = build_tables(model_program)
     path = (
         _do("I", Literal(1), SymbolRef("N")),
         _do("J", Literal(1), SymbolRef("N")),
     )
-    mult = loop_multiplicity(path, tables)
-    assert mult.symbolic == "N*N"
+    mult = _nest(path, tables)
+    assert expr_text(mult.count) == "N*N"
     assert mult.resolved == 18496
     assert not mult.defaulted
 
 
 def test_no_loops_multiplicity():
-    mult = loop_multiplicity((), SymbolTables())
-    assert mult == Multiplicity("1", 1)
+    mult = loop_multiplicity([])
+    assert mult == Multiplicity(Literal(1), 1)
 
 
 def test_unresolved_bound_uses_default_and_flags():
     path = (_do("I", Literal(1), SymbolRef("M")),)
-    mult = loop_multiplicity(path, SymbolTables(), default_count=1)
-    assert mult.symbolic == "M"
+    mult = _nest(path, SymbolTables(), default_count=1)
+    assert expr_text(mult.count) == "M"
     assert mult.resolved == 1
     assert mult.defaulted
-    assert loop_multiplicity(path, SymbolTables(), default_count=7).resolved == 7
+    assert _nest(path, SymbolTables(), default_count=7).resolved == 7
 
 
 def test_step_loop_trip_count():
     path = (_do("I", Literal(1), Literal(10), Literal(3)),)
-    mult = loop_multiplicity(path, SymbolTables())
+    mult = _nest(path, SymbolTables())
     assert mult.resolved == simulate_loops([(1, 10, 3)]) == 4
-    assert mult.symbolic == "(10-1)/3+1"
+    assert expr_text(mult.count) == "(10-1+3)/3"
 
 
 def test_offset_loop_symbolic_text():
     path = (_do("I", Literal(2), SymbolRef("N")),)
     tables = SymbolTables()
-    mult = loop_multiplicity(path, tables, default_count=5)
-    assert mult.symbolic == "N-2+1"
+    mult = _nest(path, tables, default_count=5)
+    assert expr_text(mult.count) == "N-2+1"
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +224,7 @@ def test_model_read_event(model_source):
         ("D", DOUBLE_PRECISION, None),
     ]
     assert read.multiplicity.resolved == 18496
-    assert read.multiplicity.symbolic == "N*N"
+    assert expr_text(read.multiplicity.count) == "N*N"
     assert read.source_line == 8
 
 
@@ -316,7 +320,7 @@ def test_default_loop_count_option():
     )
     _, _, events = run_pipeline(src, default_loop_count=4)
     mult = events[0].multiplicity
-    assert mult.symbolic == "M"
+    assert expr_text(mult.count) == "M"
     assert mult.resolved == 4
     assert mult.defaulted
     assert any(d.kind == "default-loop-count" for d in events[0].diagnostics)
@@ -332,34 +336,51 @@ def test_empty_item_list_is_diagnosed():
 # Multiplicity property: pipeline vs brute-force simulator
 # ---------------------------------------------------------------------------
 
-_loop_specs = st.lists(
-    st.tuples(
-        st.integers(1, 3),    # start
-        st.integers(1, 20),   # stop
-        st.integers(1, 3),    # step
-        st.booleans(),        # stop via PARAMETER constant
-    ),
+# A bound is a literal (-4..5), or a PARAMETER P spelled P, P-c, P/c, -P or
+# (P+c)*d; the step is a nonzero literal.  Stops on the wrong side of their
+# start give zero-trip loops.
+_bounds = st.tuples(
+    st.sampled_from(["literal", "name", "minus", "div", "neg", "scaled"]),
+    st.integers(0, 9),  # P
+    st.integers(1, 3),  # c
+    st.integers(1, 2),  # d
+)
+loop_specs = st.lists(
+    st.tuples(_bounds, _bounds, st.sampled_from([-3, -2, -1, 1, 2, 3])),
     min_size=0, max_size=3,
 )
+
+
+def spell_bound(bound, name: str) -> tuple[str, str | None, int]:
+    """A bound's source text, the PARAMETER it needs (or None) and its
+    value, worked out here with Python integers (P >= 0 and c > 0, so // is
+    FORTRAN's truncating division)."""
+    spelling, p, c, d = bound
+    if spelling == "literal":
+        return str(p - 4), None, p - 4
+    text, value = {
+        "name": (name, p),
+        "minus": (f"{name}-{c}", p - c),
+        "div": (f"{name}/{c}", p // c),
+        "neg": (f"-{name}", -p),
+        "scaled": (f"({name}+{c})*{d}", (p + c) * d),
+    }[spelling]
+    return text, f"      PARAMETER ({name}={p})", value
 
 
 def build_loop_source(specs, shared_label: bool) -> tuple[str, list[tuple[int, int, int]]]:
     lines = []
     bounds = []
-    constants = []
-    for idx, (start, stop, step, use_const) in enumerate(specs):
-        if use_const:
-            constants.append((f"L{idx}", stop))
-    if constants:
-        assigns = ", ".join(f"{n}={v}" for n, v in constants)
-        lines.append(f"      PARAMETER ({assigns})")
-    lines.append("      OPEN(9,FILE='OUT.TXT')")
-    variables = ["I", "J", "K"]
-    for idx, (start, stop, step, use_const) in enumerate(specs):
+    heads = []
+    for idx, (start, stop, step) in enumerate(specs):
+        start_text, start_param, first = spell_bound(start, f"NA{idx}")
+        stop_text, stop_param, last = spell_bound(stop, f"NB{idx}")
+        lines += [p for p in (start_param, stop_param) if p is not None]
         label = 10 if shared_label else 10 * (idx + 1)
-        stop_text = f"L{idx}" if use_const else str(stop)
-        lines.append(f"      DO {label} {variables[idx]}={start},{stop_text},{step}")
-        bounds.append((start, stop, step))
+        heads.append(f"      DO {label} {'IJK'[idx]}={start_text},{stop_text},{step}")
+        bounds.append((first, last, step))
+    lines.append("      OPEN(9,FILE='OUT.TXT')")
+    lines += heads
     lines.append("      WRITE(9,*) I")
     if shared_label:
         if specs:
@@ -372,19 +393,50 @@ def build_loop_source(specs, shared_label: bool) -> tuple[str, list[tuple[int, i
     return "\n".join(lines) + "\n", bounds
 
 
-@given(specs=_loop_specs, shared=st.booleans())
+@given(specs=loop_specs, shared=st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_multiplicity_matches_loop_simulator(specs, shared):
-    specs = [
-        (start, max(start, stop), step, use_const)
-        for start, stop, step, use_const in specs
-    ]
     src, bounds = build_loop_source(specs, shared)
     _, _, events = run_pipeline(src)
     assert len(events) == 1
     mult = events[0].multiplicity
     assert not mult.defaulted
     assert mult.resolved == simulate_loops(bounds)
+
+
+def test_parameter_spelled_bounds_resolve():
+    src = (
+        "      PARAMETER (N=10)\n"
+        "      OPEN(9,FILE='OUT.TXT')\n"
+        "      DO 10 I=N,1,-1\n      WRITE(9,*) I\n   10 CONTINUE\n"
+        "      DO 20 I=1,N-1\n      WRITE(9,*) I\n   20 CONTINUE\n"
+        "      DO 30 I=1,N/2\n      WRITE(9,*) I\n   30 CONTINUE\n"
+        "      DO 40 I=1,0,2\n      WRITE(9,*) I\n   40 CONTINUE\n"
+        "      DO 50 I=1,(N+1)*2\n      WRITE(9,*) I\n   50 CONTINUE\n"
+        "      DO 60 I=1,N,0\n      WRITE(9,*) I\n   60 CONTINUE\n"
+    )
+    _, _, events = run_pipeline(src)
+    assert [(e.multiplicity.resolved, e.multiplicity.defaulted) for e in events] == [
+        (10, False), (9, False), (5, False), (0, False), (22, False), (1, True)]
+    assert [expr_text(e.multiplicity.count) for e in events] == [
+        "(1-N+(-1))/(-1)", "N-1", "N/2", "(0-1+2)/2", "(N+1)*2", "(N-1+0)/0"]
+    assert [any(d.kind == "default-loop-count" for d in e.diagnostics) for e in events] == [
+        False] * 5 + [True]
+
+
+def test_unresolved_constant_reaches_the_event():
+    src = (
+        "      PARAMETER (M=Q+1)\n"
+        "      OPEN(9,FILE='OUT.TXT')\n"
+        "      WRITE(9,*) M\n"
+        "      DO 10 I=1,M\n      WRITE(9,*) I\n   10 CONTINUE\n"
+    )
+    _, _, events = run_pipeline(src)
+    note = ("unresolved-constant", "constant M = Q+1 cannot be resolved", 1)
+    for event in events:
+        found = [(d.kind, d.message, d.line) for d in event.diagnostics]
+        assert note in found
+        assert not any(kind == "implicitly-typed" and "M " in message for kind, message, _ in found)
 
 
 # ---------------------------------------------------------------------------

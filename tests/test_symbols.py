@@ -1,14 +1,17 @@
+from fractions import Fraction
+from math import trunc
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmtderive.lexer import SourceUnit, tokenize
+from fmtderive.lexer import FREE_FORM, SourceUnit, tokenize
 from fmtderive.symbols import (
     DOUBLE_PRECISION, INTEGER, REAL, ConflictingDeclaration, DataType,
     SymbolTables, UndeclaredName, Unresolved, VariableConstantClash,
     build_tables, character, doc_name, eval_int, implicit_type, lookup_type,
 )
-from fmtderive.syntax import IoItem, Literal, Product, Sum, SymbolRef, parse
+from fmtderive.syntax import BinOp, IoItem, Literal, Neg, SymbolRef, expr_text, parse
 
 from conftest import run_pipeline
 
@@ -90,11 +93,15 @@ def test_lookup_undeclared_emits_diagnostic(model_program):
 
 def test_eval_int():
     tables = tables_for("      PARAMETER (N=136)")
-    assert eval_int(tables, Product(SymbolRef("N"), SymbolRef("N"))) == 18496
+    assert eval_int(tables, BinOp("*", SymbolRef("N"), SymbolRef("N"))) == 18496
     assert eval_int(tables, Literal(1)) == 1
     assert eval_int(tables, SymbolRef("M")) == Unresolved("M")
-    assert eval_int(tables, Sum(SymbolRef("N"), Literal(1))) == 137
-    assert eval_int(tables, Product(SymbolRef("M"), SymbolRef("N"))) == Unresolved("M*N")
+    assert eval_int(tables, BinOp("+", SymbolRef("N"), Literal(1))) == 137
+    assert eval_int(tables, BinOp("*", SymbolRef("M"), SymbolRef("N"))) == Unresolved("M*N")
+    assert eval_int(tables, BinOp("/", Neg(SymbolRef("N")), Literal(10))) == -13
+    assert eval_int(tables, Neg(SymbolRef("M"))) == Unresolved("-M")
+    zero = BinOp("-", SymbolRef("N"), SymbolRef("N"))
+    assert eval_int(tables, BinOp("/", Literal(1), zero)) == Unresolved("1/(N-N)")
 
 
 def test_parameter_expression_value():
@@ -102,10 +109,22 @@ def test_parameter_expression_value():
     assert tables.find_constant("M").value == 17
 
 
-def test_unresolvable_parameter_is_diagnosed_and_skipped():
-    tables = tables_for("      PARAMETER (M=Q*2)")
-    assert tables.find_constant("M") is None
-    assert any(d.kind == "unresolved-constant" for d in tables.diagnostics)
+def test_unresolvable_parameter_is_diagnosed_and_kept():
+    tables = tables_for("      INTEGER M\n      PARAMETER (M=Q*2)")
+    entry = tables.find_constant("M")
+    assert (entry.data_type, entry.value) == (INTEGER, Unresolved("Q*2"))
+    assert tables.diagnostics == [entry.note]
+    assert (entry.note.kind, entry.note.line) == ("unresolved-constant", 2)
+    notes = []
+    assert lookup_type(tables, IoItem("M"), "<main>", notes) == INTEGER
+    assert eval_int(tables, SymbolRef("M"), notes) == Unresolved("M")
+    assert notes == [entry.note] * 2
+
+
+def test_negated_parameter_resolves():
+    tables = tables_for("      PARAMETER (N=10, M=-N, K=-(N+2)/4)")
+    assert tables.find_constant("M").value == -10
+    assert tables.find_constant("K").value == -3
 
 
 def test_declared_parameter_takes_declared_type():
@@ -188,8 +207,8 @@ def test_declared_type_always_wins(name, decl):
 @given(a=st.integers(0, 1000), b=st.integers(0, 1000))
 def test_eval_product_is_multiplication(a, b):
     tables = SymbolTables()
-    assert eval_int(tables, Product(Literal(a), Literal(b))) == a * b
-    assert eval_int(tables, Sum(Literal(a), Literal(b))) == a + b
+    assert eval_int(tables, BinOp("*", Literal(a), Literal(b))) == a * b
+    assert eval_int(tables, BinOp("+", Literal(a), Literal(b))) == a + b
 
 
 @given(name=_names)
@@ -201,3 +220,56 @@ def test_implicit_rule_depends_only_on_first_letter(name):
 def test_pipeline_tables_match_direct_build(model_source):
     program, tables, _ = run_pipeline(model_source)
     assert tables == build_tables(program)
+
+
+# ---------------------------------------------------------------------------
+# Expression oracle: printing, parsing and evaluation of drawn trees
+# ---------------------------------------------------------------------------
+
+# N, M and Z are PARAMETERs (Z is zero, for division by zero); U is not.
+_CONSTANTS = {"N": 7, "M": -3, "Z": 0}
+_expr_trees = st.recursive(
+    st.one_of(st.integers(0, 12).map(Literal), st.sampled_from("NMZU").map(SymbolRef)),
+    lambda inner: st.one_of(
+        st.builds(BinOp, st.sampled_from("+-*/"), inner, inner),
+        st.builds(Neg, inner),
+    ),
+    max_leaves=10,
+)
+
+
+def reference_value(expr):
+    """Independent evaluator: exact fractions truncated toward zero for /;
+    an undefined name or a zero divisor makes the result None."""
+    if isinstance(expr, Literal):
+        return expr.value
+    if isinstance(expr, SymbolRef):
+        return _CONSTANTS.get(expr.name)
+    if isinstance(expr, Neg):
+        value = reference_value(expr.operand)
+        return None if value is None else -value
+    left, right = reference_value(expr.left), reference_value(expr.right)
+    if left is None or right is None:
+        return None
+    if expr.op == "/":
+        return None if right == 0 else trunc(Fraction(left, right))
+    return {"+": left + right, "-": left - right, "*": left * right}[expr.op]
+
+
+@given(_expr_trees)
+@settings(max_examples=300, deadline=None)
+def test_expr_text_parses_back_to_the_same_tree(tree):
+    source = f"do i = 1, {expr_text(tree)}\nend do\n"
+    loop = parse(tokenize(SourceUnit("<test>", source, FREE_FORM))).statements[0]
+    assert loop.stop == tree
+
+
+_expr_tables = tables_for("      PARAMETER (N=7, M=-3, Z=0)\n")
+
+
+@given(_expr_trees)
+@settings(max_examples=300)
+def test_eval_int_matches_reference_evaluator(tree):
+    expected = reference_value(tree)
+    got = eval_int(_expr_tables, tree)
+    assert got == (Unresolved(expr_text(tree)) if expected is None else expected)

@@ -5,9 +5,11 @@ from fmtderive.syntax import (
     ANONYMOUS_MAIN, CloseStmt, ContinueStmt, DeclStmt, DoStmt,
     DuplicateFormatLabel, FormatStmt, Inline, IoItem, IoStmt, Label,
     ListDirected, Literal, OpenStmt, OtherStmt, ParameterStmt, ParseError,
-    Product, StarUnit, SymbolRef, attach_formats, canonical_text, expr_text,
-    flatten, parse,
+    BinOp, Neg, StarUnit, SymbolRef, attach_formats, canonical_text, dump_ast,
+    expr_text, flatten, parse,
 )
+
+from conftest import run_pipeline
 
 
 def parse_src(text, dialect=FIXED_FORM):
@@ -95,13 +97,34 @@ def test_do_with_step_and_arith_bounds():
     unit = parse_src("      DO 10 K=2,N*M,3\n   10 CONTINUE\n")
     loop = unit.statements[0]
     assert loop.start == Literal(2)
-    assert loop.stop == Product(SymbolRef("N"), SymbolRef("M"))
+    assert loop.stop == BinOp("*", SymbolRef("N"), SymbolRef("M"))
     assert loop.step == Literal(3)
 
 
-def test_subtraction_bound_stays_symbolic():
+def test_subtraction_bound_is_a_binary_node():
     loop = parse_src("      DO 10 K=1,N-1\n   10 CONTINUE\n").statements[0]
-    assert loop.stop == SymbolRef("N-1")
+    assert loop.stop == BinOp("-", SymbolRef("N"), Literal(1))
+    _, _, events = run_pipeline(
+        "      PARAMETER (N=10)\n      DO 10 K=1,N-1\n      WRITE(6,*) K\n   10 CONTINUE\n")
+    assert (events[0].multiplicity.resolved, events[0].multiplicity.defaulted) == (9, False)
+
+
+@pytest.mark.parametrize("text, tree", [
+    ("-N+1", BinOp("+", Neg(SymbolRef("N")), Literal(1))),
+    ("-N*2", Neg(BinOp("*", SymbolRef("N"), Literal(2)))),
+    ("(N+1)*2", BinOp("*", BinOp("+", SymbolRef("N"), Literal(1)), Literal(2))),
+    ("N-(M-1)", BinOp("-", SymbolRef("N"), BinOp("-", SymbolRef("M"), Literal(1)))),
+    ("N/2/M", BinOp("/", BinOp("/", SymbolRef("N"), Literal(2)), SymbolRef("M"))),
+    ("N*(-2)", BinOp("*", SymbolRef("N"), Neg(Literal(2)))),
+    ("+N", SymbolRef("N")),
+    ("N**2", SymbolRef("N**2")),
+    ("MAX(N,2)", SymbolRef("MAX(N,2)")),
+    ("N*-2", SymbolRef("N*-2")),
+    ("(N", SymbolRef("(N")),
+])
+def test_bound_expressions_parse_with_fortran_precedence(text, tree):
+    loop = parse_src(f"DO K=1,{text}\nEND DO\n", FREE_FORM).statements[0]
+    assert loop.stop == tree
 
 
 def test_program_header_sets_unit_name():
@@ -267,6 +290,17 @@ def test_corpus_round_trip(model_program):
             assert again == stmt
 
 
+def test_bound_text_keeps_its_parentheses():
+    unit = parse_src("      DO 10 I=1,(N+1)*2\n   10 CONTINUE\n")
+    assert dump_ast(unit).splitlines()[1] == "  DO 10 I = 1, (N+1)*2"
+
+
 def test_expr_text():
-    assert expr_text(Product(SymbolRef("N"), SymbolRef("N"))) == "N*N"
+    assert expr_text(BinOp("*", SymbolRef("N"), SymbolRef("N"))) == "N*N"
     assert expr_text(Literal(7)) == "7"
+    n, one = SymbolRef("N"), Literal(1)
+    assert expr_text(BinOp("*", BinOp("+", n, one), Literal(2))) == "(N+1)*2"
+    assert expr_text(BinOp("-", n, BinOp("+", n, one))) == "N-(N+1)"
+    assert expr_text(BinOp("*", Neg(n), n)) == "(-N)*N"
+    assert expr_text(Neg(Neg(n))) == "-(-N)"
+    assert expr_text(BinOp("+", Neg(n), Neg(one))) == "-N+(-1)"
