@@ -265,10 +265,13 @@ def analyze(
             notes += trips[id(do)][1]
         mult = loop_multiplicity([trips[id(do)][0] for do in loops])
         if mult.defaulted:
+            # F77 11.10 forbids a zero DO increment: name it as the cause.
+            zero = next((do for do in loops if do.step is not None and eval_int(tables, do.step) == 0), None)
+            cause = (f"DO step at line {zero.line} is zero" if zero is not None else
+                     f"loop count {expr_text(mult.count)} is not constant")
             notes.append(Diagnostic(
                 diag.DEFAULT_LOOP_COUNT,
-                f"loop count {expr_text(mult.count)} is not constant; default"
-                f" {default_loop_count} used per loop",
+                f"{cause}; default {default_loop_count} used per loop",
                 stmt.line,
             ))
         if stmt.conditional:

@@ -14,6 +14,7 @@ import enum
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 from .diagnostics import AnalysisError
 
@@ -56,8 +57,7 @@ class TokenKind(enum.Enum):
     END_OF_STATEMENT = "end-of-statement"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A classified lexeme with its position in the original source.
 
     ``which`` discriminates within keyword and punctuation classes (for
@@ -111,38 +111,37 @@ def describe_token(tok: Token) -> str:
 
 
 class _Statement:
-    """One logical statement: its label, its text with comments cut, and for
-    each physical-line segment of that text its offset and its source line
-    and column."""
+    """One logical statement: its label token, its text with comments cut,
+    for each physical-line segment of that text its offset and its source
+    line and column, and the source line and column just past its last
+    character, where its end-of-statement token goes."""
 
-    __slots__ = ("label", "label_line", "label_col", "label_text", "text", "parts",
-                 "offsets", "starts")
+    __slots__ = ("label", "text", "offsets", "starts", "end")
 
-    def __init__(self, label, label_line, label_col, label_text):
+    def __init__(self, label: Token | None):
         self.label = label
-        self.label_line = label_line
-        self.label_col = label_col
-        self.label_text = label_text
         self.text = ""
-        self.parts: list[str] = []
         self.offsets: list[int] = []
         self.starts: list[tuple[int, int]] = []
+        self.end = (label.line, label.column + len(label.lexeme)) if label else None
 
     def add(self, text: str, line: int, column: int) -> None:
         """Append one physical line's segment, which starts at line:column."""
-        self.offsets.append(self.offsets[-1] + len(self.parts[-1]) if self.parts else 0)
+        self.offsets.append(len(self.text))
         self.starts.append((line, column))
-        self.parts.append(text)
-
-    def finish(self) -> _Statement:
-        self.text = "".join(self.parts)
-        return self
+        self.text += text
+        if text:
+            self.end = (line, column + len(text))
 
     def position(self, offset: int) -> tuple[int, int]:
         """Source line and column of the character at offset in text."""
         at = bisect_right(self.offsets, offset) - 1
         line, column = self.starts[at]
         return line, column + offset - self.offsets[at]
+
+
+def _label(digits: str, line: int, column: int) -> Token:
+    return Token(TokenKind.STATEMENT_LABEL, digits, line, column, value=int(digits))
 
 
 # The patterns in this module are compiled on first use, through re's cache,
@@ -179,13 +178,11 @@ def _leading_label(line: str, lineno: int) -> tuple[_Statement, int]:
     statement and the offset in line of the text after the label."""
     match = re.match(_LABEL, line)
     digits = match.group(1)
-    if digits is None:
-        return _Statement(None, lineno, 1, ""), match.end()
-    return _Statement(int(digits), lineno, match.start(1) + 1, digits), match.end()
+    label = _label(digits, lineno, match.start(1) + 1) if digits else None
+    return _Statement(label), match.end()
 
 
-def _assemble_fixed(text: str) -> list[_Statement]:
-    statements: list[_Statement] = []
+def _assemble_fixed(text: str) -> Iterator[_Statement]:
     current: _Statement | None = None
     quote: str | None = None  # carried across the segments of one statement
 
@@ -196,11 +193,12 @@ def _assemble_fixed(text: str) -> list[_Statement]:
         label_field = line[:5]
         cont = line[5] if len(line) > 5 else " "
         start = 6
-        if any(c not in " 0123456789" for c in label_field):
+        if label_field.strip(" 0123456789"):
             # Ragged source: the statement starts in column 1.  A leading
             # integer followed by a space is still taken as the label.
+            if current is not None:
+                yield current
             current, start = _leading_label(line[:72], lineno)
-            statements.append(current)
             quote = None
         elif cont not in " 0" and not label_field.strip():
             if current is None:
@@ -208,18 +206,18 @@ def _assemble_fixed(text: str) -> list[_Statement]:
         else:
             # Blanks are insignificant inside the label field: ' 1 0 ' is 10.
             digits = label_field.replace(" ", "")
-            label = int(digits) if digits else None
-            label_col = len(label_field) - len(label_field.lstrip()) + 1 if digits else 1
-            current = _Statement(label, lineno, label_col, digits)
-            statements.append(current)
+            label_col = len(label_field) - len(label_field.lstrip()) + 1
+            if current is not None:
+                yield current
+            current = _Statement(_label(digits, lineno, label_col) if digits else None)
             quote = None
         kept, quote = _cut_comment(line[start:72], quote)
         current.add(kept, lineno, start + 1)
-    return [stmt.finish() for stmt in statements]
+    if current is not None:
+        yield current
 
 
-def _assemble_free(text: str) -> list[_Statement]:
-    statements: list[_Statement] = []
+def _assemble_free(text: str) -> Iterator[_Statement]:
     current: _Statement | None = None
     continuing = False
 
@@ -232,8 +230,9 @@ def _assemble_free(text: str) -> list[_Statement]:
             start = len(line) - len(line.lstrip(" "))
             start += line.startswith("&", start)
         else:
+            if current is not None:
+                yield current
             current, start = _leading_label(line, lineno)
-            statements.append(current)
             quote = None
         # A trailing '&' continues the statement; inside a string it continues
         # the string after the next line's leading '&' (F95 3.3.1.3).
@@ -241,23 +240,13 @@ def _assemble_free(text: str) -> list[_Statement]:
         kept = kept.rstrip(" ")
         continuing = kept.endswith("&")
         current.add(kept[:-1] if continuing else kept, lineno, start + 1)
-    return [stmt.finish() for stmt in statements]
+    if current is not None:
+        yield current
 
 
 # ---------------------------------------------------------------------------
 # Raw scanning of one logical statement
 # ---------------------------------------------------------------------------
-
-
-class _Tk:
-    __slots__ = ("kind", "which", "value", "s", "e")
-
-    def __init__(self, kind, which, value, s, e):
-        self.kind = kind
-        self.which = which
-        self.value = value
-        self.s = s
-        self.e = e
 
 
 # Letters are the characters str.isalpha accepts: over Latin-1, the source
@@ -278,31 +267,51 @@ _RAW = r"""(?xs) \ * (?:  # blanks, then one token
   | (?P<punct> [^ ] )
 )"""
 
-_RAW_KINDS = {
-    "string": TokenKind.STRING_LITERAL,
-    "real": TokenKind.REAL_CONSTANT,
-    "integer": TokenKind.INTEGER_CONSTANT,
-    "word": TokenKind.IDENTIFIER,
-}
+# The kind of token each group of _RAW yields, by group number; an
+# unterminated string yields none.
+_RAW_KINDS = (
+    None, TokenKind.STRING_LITERAL, None, TokenKind.REAL_CONSTANT,
+    TokenKind.INTEGER_CONSTANT, TokenKind.IDENTIFIER, TokenKind.PUNCTUATION,
+)
+
+# Token's generated __new__ is a Python function; the scanner, which builds
+# nearly every token, fills all six fields through tuple.__new__ instead.
+_new_token = tuple.__new__
 
 
-def _scan_raw(stmt: _Statement) -> list[_Tk]:
-    toks: list[_Tk] = []
-    for match in re.finditer(_RAW, stmt.text):
-        group = match.lastgroup
-        s, e = match.span(group)
-        kind = _RAW_KINDS.get(group)
-        if kind is not None:
-            toks.append(_Tk(kind, None, None, s, e))
-        elif group == "punct" and match.group(group).isprintable():
-            which = PUNCT_NAMES.get(match.group(group), PUNCT_OTHER)
-            toks.append(_Tk(TokenKind.PUNCTUATION, which, None, s, e))
+def _scan_raw(stmt: _Statement) -> tuple[list[Token], list[int]]:
+    """Scan a statement's text into tokens classified by their form alone,
+    and the offset in the text where each starts."""
+    text, offsets, starts = stmt.text, stmt.offsets, stmt.starts
+    toks: list[Token] = []
+    offs: list[int] = []
+    # A cursor moving forward over the segments: line is the source line of
+    # the segment holding offset s, shift + s its column, and the next segment
+    # starts at offset nxt.  Every token starts before len(text).
+    k = 0
+    line, shift = starts[0]
+    nxt = offsets[1] if len(offsets) > 1 else len(text)
+    for match in re.finditer(_RAW, text):
+        group = match.lastindex
+        s = match.start(group)
+        while s >= nxt:
+            k += 1
+            line, column = starts[k]
+            shift = column - offsets[k]
+            nxt = offsets[k + 1] if k + 1 < len(offsets) else len(text)
+        lexeme = match[group]
+        kind = _RAW_KINDS[group]
+        if kind is TokenKind.PUNCTUATION:
+            which = PUNCT_NAMES.get(lexeme, PUNCT_OTHER)
+            if which is PUNCT_OTHER and not lexeme.isprintable():
+                raise LexError(line, shift + s, f"character {lexeme!r} outside the accepted set")
+        elif kind is None:
+            raise LexError(line, shift + s, "unterminated string literal")
         else:
-            ln, col = stmt.position(s)
-            if group == "unterminated":
-                raise LexError(ln, col, "unterminated string literal")
-            raise LexError(ln, col, f"character {match.group(group)!r} outside the accepted set")
-    return toks
+            which = None
+        toks.append(_new_token(Token, (kind, lexeme, line, shift + s, which, None)))
+        offs.append(s)
+    return toks, offs
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +319,9 @@ def _scan_raw(stmt: _Statement) -> list[_Tk]:
 # ---------------------------------------------------------------------------
 
 
-def _word_at(text: str, toks: list[_Tk], i: int) -> str | None:
+def _word_at(toks: list[Token], i: int) -> str | None:
     if 0 <= i < len(toks) and toks[i].kind is TokenKind.IDENTIFIER:
-        return text[toks[i].s:toks[i].e].upper()
+        return toks[i].lexeme.upper()
     return None
 
 
@@ -322,15 +331,11 @@ def _punct_at(toks, i: int) -> str | None:
     return None
 
 
-# _match_paren and _split_commas serve raw tokens and finished Tokens alike:
-# both carry .kind and .which.
-
-
 def _match_paren(toks, i_lparen: int) -> int | None:
     """Index of the ')' that closes the '(' at i_lparen, or None."""
     depth = 0
     for j in range(i_lparen, len(toks)):
-        which = _punct_at(toks, j)
+        which = toks[j].which  # only punctuation has which LPAREN or RPAREN
         if which == "LPAREN":
             depth += 1
         elif which == "RPAREN":
@@ -360,16 +365,17 @@ def _split_commas(toks: list) -> list[list]:
     return parts
 
 
-def _merge(toks: list[_Tk], i: int, kind, which) -> None:
-    """Fuse toks[i] and toks[i+1] into a single token of the given class."""
-    a, b = toks[i], toks[i + 1]
-    toks[i] = _Tk(kind, which, None, a.s, b.e)
-    del toks[i + 1]
+def _merge(stmt: _Statement, toks: list[Token], offs: list[int], i: int, kind, which) -> None:
+    """Fuse toks[i] and toks[i+1] into one token of the given class, whose
+    lexeme runs from the first's start to the second's end in the text."""
+    first = toks[i]
+    end = offs[i + 1] + len(toks[i + 1].lexeme)
+    toks[i:i + 2] = [Token(kind, stmt.text[offs[i]:end], first.line, first.column, which)]
+    del offs[i + 1]
 
 
-def _classify_leading(stmt: _Statement, toks: list[_Tk], i: int) -> None:
-    text = stmt.text
-    w = _word_at(text, toks, i)
+def _classify_leading(stmt: _Statement, toks: list[Token], offs: list[int], i: int) -> None:
+    w = _word_at(toks, i)
     if w is None:
         return
     nxt_punct = _punct_at(toks, i + 1)
@@ -377,15 +383,15 @@ def _classify_leading(stmt: _Statement, toks: list[_Tk], i: int) -> None:
         return  # assignment: the leading word is a plain identifier
 
     def set_kw(kind, which, at=i):
-        toks[at].kind = kind
-        toks[at].which = which
+        tok = toks[at]
+        toks[at] = Token(kind, tok.lexeme, tok.line, tok.column, which)
 
-    if w in DATA_TYPE_WORDS or (w == "DOUBLE" and _word_at(text, toks, i + 1) == "PRECISION"):
+    if w in DATA_TYPE_WORDS or (w == "DOUBLE" and _word_at(toks, i + 1) == "PRECISION"):
         if w == "DOUBLE":
-            _merge(toks, i, TokenKind.DATA_TYPE_KEYWORD, "DOUBLE_PRECISION")
+            _merge(stmt, toks, offs, i, TokenKind.DATA_TYPE_KEYWORD, "DOUBLE_PRECISION")
         else:
             set_kw(TokenKind.DATA_TYPE_KEYWORD, w)
-        if _word_at(text, toks, i + 1) == "FUNCTION" and _word_at(text, toks, i + 2):
+        if _word_at(toks, i + 1) == "FUNCTION" and _word_at(toks, i + 2):
             set_kw(TokenKind.CONTROL_KEYWORD, "FUNCTION", i + 1)
     elif w in ("READ", "WRITE"):
         if nxt_punct == "LPAREN":
@@ -408,22 +414,22 @@ def _classify_leading(stmt: _Statement, toks: list[_Tk], i: int) -> None:
         set_kw(TokenKind.CONTROL_KEYWORD, "CONTINUE")
     elif w == "GOTO":
         set_kw(TokenKind.CONTROL_KEYWORD, "GOTO")
-    elif w == "GO" and _word_at(text, toks, i + 1) == "TO":
-        _merge(toks, i, TokenKind.CONTROL_KEYWORD, "GOTO")
+    elif w == "GO" and _word_at(toks, i + 1) == "TO":
+        _merge(stmt, toks, offs, i, TokenKind.CONTROL_KEYWORD, "GOTO")
     elif w in ("PROGRAM", "SUBROUTINE"):
-        if _word_at(text, toks, i + 1):
+        if _word_at(toks, i + 1):
             set_kw(TokenKind.CONTROL_KEYWORD, w)
     elif w == "FUNCTION":
-        if _word_at(text, toks, i + 1):
+        if _word_at(toks, i + 1):
             set_kw(TokenKind.CONTROL_KEYWORD, "FUNCTION")
     elif w == "END":
-        nw = _word_at(text, toks, i + 1)
+        nw = _word_at(toks, i + 1)
         if nw == "IF":
-            _merge(toks, i, TokenKind.CONTROL_KEYWORD, "ENDIF")
+            _merge(stmt, toks, offs, i, TokenKind.CONTROL_KEYWORD, "ENDIF")
         elif nw == "DO":
             # No ENDDO keyword class exists; the parser recognizes the
             # merged identifier by its text.
-            _merge(toks, i, TokenKind.IDENTIFIER, None)
+            _merge(stmt, toks, offs, i, TokenKind.IDENTIFIER, None)
         elif nw in ("PROGRAM", "SUBROUTINE", "FUNCTION") or len(toks) == i + 1:
             set_kw(TokenKind.CONTROL_KEYWORD, "END")
     elif w == "ENDIF":
@@ -431,13 +437,13 @@ def _classify_leading(stmt: _Statement, toks: list[_Tk], i: int) -> None:
             set_kw(TokenKind.CONTROL_KEYWORD, "ENDIF")
     elif w == "ELSE" or w == "ELSEIF":
         set_kw(TokenKind.CONTROL_KEYWORD, "ELSE")
-        if w == "ELSEIF" or _word_at(text, toks, i + 1) == "IF":
+        if w == "ELSEIF" or _word_at(toks, i + 1) == "IF":
             j = i + 1 if w == "ELSEIF" else i + 2
             if w != "ELSEIF":
                 set_kw(TokenKind.CONTROL_KEYWORD, "IF", i + 1)
             if _punct_at(toks, j) == "LPAREN":
                 close = _match_paren(toks, j)
-                if close is not None and _word_at(text, toks, close + 1) == "THEN" and close + 2 == len(toks):
+                if close is not None and _word_at(toks, close + 1) == "THEN" and close + 2 == len(toks):
                     set_kw(TokenKind.CONTROL_KEYWORD, "THEN", close + 1)
     elif w == "IF":
         if nxt_punct == "LPAREN":
@@ -445,20 +451,20 @@ def _classify_leading(stmt: _Statement, toks: list[_Tk], i: int) -> None:
             if close is None:
                 return
             set_kw(TokenKind.CONTROL_KEYWORD, "IF")
-            if _word_at(text, toks, close + 1) == "THEN" and close + 2 == len(toks):
+            if _word_at(toks, close + 1) == "THEN" and close + 2 == len(toks):
                 set_kw(TokenKind.CONTROL_KEYWORD, "THEN", close + 1)
             else:
                 # Logical IF: the remainder is itself a statement.
-                _classify_leading(stmt, toks, close + 1)
+                _classify_leading(stmt, toks, offs, close + 1)
     elif w == "DO":
         k = i + 1
         if k < len(toks) and toks[k].kind is TokenKind.INTEGER_CONSTANT:
             k += 1
-        if _word_at(text, toks, k) and _punct_at(toks, k + 1) == "EQUALS":
+        if _word_at(toks, k) and _punct_at(toks, k + 1) == "EQUALS":
             set_kw(TokenKind.CONTROL_KEYWORD, "DO")
 
 
-def _collapse_format_text(stmt: _Statement, toks: list[_Tk]) -> None:
+def _collapse_format_text(stmt: _Statement, toks: list[Token], offs: list[int]) -> None:
     """Replace a FORMAT statement's parenthesized body with one verbatim token."""
     if not toks or toks[0].kind is not TokenKind.READ_WRITE_KEYWORD or toks[0].which != "FORMAT":
         return
@@ -466,14 +472,13 @@ def _collapse_format_text(stmt: _Statement, toks: list[_Tk]) -> None:
         return
     close = _match_paren(toks, 1)
     if close is None:
-        ln, col = stmt.position(toks[1].s)
-        raise LexError(ln, col, "unbalanced parentheses in FORMAT statement")
-    start, end = toks[1].e, toks[close].s
-    fdt = _Tk(TokenKind.FORMAT_DESCRIPTOR_TEXT, None, None, start, end)
+        raise LexError(toks[1].line, toks[1].column, "unbalanced parentheses in FORMAT statement")
+    start, end = offs[1] + 1, offs[close]
+    fdt = Token(TokenKind.FORMAT_DESCRIPTOR_TEXT, stmt.text[start:end], *stmt.position(start))
     toks[2:close] = [fdt] if end > start else []
 
 
-def _reclassify_inline_formats(stmt: _Statement, toks: list[_Tk]) -> None:
+def _reclassify_inline_formats(toks: list[Token]) -> None:
     """Mark a quoted format inside a READ/WRITE control list as descriptor text."""
     if not toks or toks[0].kind is not TokenKind.READ_WRITE_KEYWORD:
         return
@@ -482,16 +487,14 @@ def _reclassify_inline_formats(stmt: _Statement, toks: list[_Tk]) -> None:
     close = _match_paren(toks, 1)
     if close is None:
         return
+    after = 1  # index in toks of the ',' or ')' after each control-list item; '(' at first
     for idx, part in enumerate(_split_commas(toks[2:close])):
-        if idx == 1 and len(part) == 1 and part[0].kind is TokenKind.STRING_LITERAL:
-            part[0].kind = TokenKind.FORMAT_DESCRIPTOR_TEXT
-        elif (
-            len(part) == 3
-            and _word_at(stmt.text, part, 0) == "FMT"
-            and _punct_at(part, 1) == "EQUALS"
-            and part[2].kind is TokenKind.STRING_LITERAL
+        after += len(part) + 1
+        if part and part[-1].kind is TokenKind.STRING_LITERAL and (
+            (idx == 1 and len(part) == 1)
+            or (len(part) == 3 and _word_at(part, 0) == "FMT" and _punct_at(part, 1) == "EQUALS")
         ):
-            part[2].kind = TokenKind.FORMAT_DESCRIPTOR_TEXT
+            toks[after - 1] = toks[after - 1]._replace(kind=TokenKind.FORMAT_DESCRIPTOR_TEXT)
 
 
 def tokenize(unit: SourceUnit) -> list[Token]:
@@ -504,26 +507,14 @@ def tokenize(unit: SourceUnit) -> list[Token]:
     assemble = _assemble_fixed if unit.dialect == FIXED_FORM else _assemble_free
     out: list[Token] = []
     for stmt in assemble(unit.text):
-        raws = _scan_raw(stmt)
-        if not raws and stmt.label is None:
+        toks, offs = _scan_raw(stmt)
+        if not toks and stmt.label is None:
             continue
-        _classify_leading(stmt, raws, 0)
-        _collapse_format_text(stmt, raws)
-        _reclassify_inline_formats(stmt, raws)
-
+        _classify_leading(stmt, toks, offs, 0)
+        _collapse_format_text(stmt, toks, offs)
+        _reclassify_inline_formats(toks)
         if stmt.label is not None:
-            out.append(Token(
-                TokenKind.STATEMENT_LABEL, stmt.label_text,
-                stmt.label_line, stmt.label_col, value=stmt.label,
-            ))
-        for tk in raws:
-            ln, col = stmt.position(tk.s)
-            out.append(Token(tk.kind, stmt.text[tk.s:tk.e], ln, col,
-                             which=tk.which, value=tk.value))
-        if stmt.text:
-            ln, col = stmt.position(len(stmt.text) - 1)
-            out.append(Token(TokenKind.END_OF_STATEMENT, "", ln, col + 1))
-        else:
-            out.append(Token(TokenKind.END_OF_STATEMENT, "",
-                             stmt.label_line, stmt.label_col + len(stmt.label_text)))
+            out.append(stmt.label)
+        out += toks
+        out.append(Token(TokenKind.END_OF_STATEMENT, "", *stmt.end))
     return out

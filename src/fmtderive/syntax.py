@@ -609,7 +609,7 @@ def parse(tokens: list[Token]) -> ProgramUnit:
     """
     unit = ProgramUnit(None, ANONYMOUS_MAIN, [])
     if tokens:
-        unit.end_line = max(tok.line for tok in tokens)
+        unit.end_line = tokens[-1].line  # tokens come in source order
     do_stack: list[DoStmt] = []  # open loops, innermost last
     if_depth = 0
     header_seen = False

@@ -526,3 +526,24 @@ def test_unit_binding_matches_brute_force_scan(ops):
         assert event.direction == verb
         expected = latest_open(flat, line, verb, unit)
         assert (event.binding.file_name, event.binding.opened_at) == expected
+
+
+def test_zero_do_step_note_names_the_step():
+    src = (
+        "      PARAMETER (N=10, M=0)\n"
+        "      DO 10 I=1,N,0\n"
+        "      WRITE(6,*) I\n"
+        "   10 CONTINUE\n"
+        "      DO 20 I=1,N\n"
+        "      DO 20 J=1,N,M\n"
+        "      WRITE(6,*) J\n"
+        "   20 CONTINUE\n"
+    )
+    _, _, events = run_pipeline(src, default_loop_count=3)
+    notes = [[d.message for d in e.diagnostics if d.kind == "default-loop-count"] for e in events]
+    assert notes == [
+        ["DO step at line 2 is zero; default 3 used per loop"],
+        ["DO step at line 6 is zero; default 3 used per loop"],
+    ]
+    # The group keeps its defaulted count.
+    assert [(e.multiplicity.resolved, e.multiplicity.defaulted) for e in events] == [(3, True), (30, True)]

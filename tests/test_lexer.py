@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmtderive.lexer import (
     FIXED_FORM, FREE_FORM, LexError, SourceUnit, Token, TokenKind, tokenize,
@@ -221,3 +223,109 @@ def test_token_is_immutable():
     tok = Token(TokenKind.IDENTIFIER, "X", 1, 1)
     with pytest.raises(AttributeError):
         tok.lexeme = "Y"
+
+
+# ---------------------------------------------------------------------------
+# Position oracle for statements spread over several lines
+# ---------------------------------------------------------------------------
+
+# Lexemes that lex as exactly one token wherever they stand, so that the k-th
+# token of the source is the k-th lexeme placed; no word here starts a merge
+# (GO TO, DOUBLE PRECISION, END IF) or a FORMAT statement.
+_words = st.text("XYZ", min_size=1, max_size=3) | st.sampled_from(["READ", "WRITE", "IF", "DO", "OPEN"])
+_strings = st.builds(
+    lambda quote, body: quote + body.replace(quote, quote * 2) + quote,
+    st.sampled_from("'\""), st.text("AB !&'\"", max_size=8),
+)
+_lexemes = st.lists(st.one_of(
+    _words, _strings, st.integers(0, 999).map(str),
+    st.sampled_from(["1.5", ".5", "2.", "1E3", "1.5D-2", *"(),=*/+-"]),
+), min_size=1, max_size=8)
+
+
+@st.composite
+def _fixed_source(draw):
+    """A fixed-form source and the line and column of each token's first
+    character, as placed: statements continue over lines, some of them empty
+    continuation lines, and strings may be split across lines."""
+    lines: list[str] = []
+    where: list[tuple[int, int]] = []
+
+    def continuation():
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["C note", "", "  ! note"])))
+        lines.append("     " + draw(st.sampled_from("&1+")))
+
+    for lexemes in draw(st.lists(_lexemes, min_size=1, max_size=4)):
+        label = draw(st.none() | st.integers(1, 99999))
+        digits = "" if label is None else str(label)
+        pad = draw(st.integers(0, 5 - len(digits)))
+        lines.append((" " * pad + digits).ljust(5) + " ")
+        if label is not None:
+            where.append((len(lines), pad + 1))
+        for k, lexeme in enumerate(lexemes):
+            if k:  # at least one blank between two tokens, all within column 72
+                if len(lines[-1]) >= 72:
+                    continuation()
+                lines[-1] += " " * draw(st.integers(1, 2))
+            # A first line without a label must hold a token: a blank one is no
+            # initial line.
+            while (k or label is not None) and draw(st.booleans()) or len(lines[-1]) + len(lexeme) > 72:
+                continuation()
+                if len(lines[-1]) + len(lexeme) <= 72 and draw(st.booleans()):
+                    break
+            where.append((len(lines), len(lines[-1]) + 1))
+            if lexeme[0] in "'\"" and len(lexeme) > 1 and draw(st.booleans()):
+                cut = draw(st.integers(1, len(lexeme) - 1))
+                lines[-1] += lexeme[:cut]
+                continuation()
+                lexeme = lexeme[cut:]
+            lines[-1] += lexeme
+    return "\n".join(lines) + "\n", where
+
+
+@st.composite
+def _free_source(draw):
+    """A free-form source and the line and column of each token's first
+    character, as placed: statements continue after a trailing '&', and a
+    string split across lines resumes after the next line's leading '&'."""
+    lines: list[str] = []
+    where: list[tuple[int, int]] = []
+
+    def continuation(lead):
+        # Inside a string, '!' starts no comment.
+        lines[-1] += draw(st.sampled_from(["&", "&  "] if lead else ["&", "&  ", "& ! note"]))
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["! note", ""])))
+        lines.append(" " * draw(st.integers(0, 3)) + lead)
+
+    for lexemes in draw(st.lists(_lexemes, min_size=1, max_size=4)):
+        lines.append(" " * draw(st.integers(0, 2)))
+        if draw(st.booleans()):
+            label = str(draw(st.integers(1, 99999)))
+            where.append((len(lines), len(lines[-1]) + 1))
+            lines[-1] += label + " "
+        for k, lexeme in enumerate(lexemes):
+            if k:
+                lines[-1] += " " * draw(st.integers(1, 2))
+                if draw(st.booleans()):
+                    continuation(draw(st.sampled_from(["", "&"])))
+            where.append((len(lines), len(lines[-1]) + 1))
+            if lexeme[0] in "'\"" and len(lexeme) > 1 and draw(st.booleans()):
+                cut = draw(st.integers(1, len(lexeme) - 1))
+                lines[-1] += lexeme[:cut]
+                continuation("&")
+                lexeme = lexeme[cut:]
+            lines[-1] += lexeme
+    return "\n".join(lines) + "\n", where
+
+
+@pytest.mark.parametrize("dialect, sources", [(FIXED_FORM, _fixed_source()), (FREE_FORM, _free_source())])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_positions_of_continued_statements(dialect, sources, data):
+    text, where = data.draw(sources)
+    toks = lex(text, dialect)
+    assert [(t.line, t.column) for t in toks if t.kind is not TokenKind.END_OF_STATEMENT] == where
+    # Tokens come in source order, so the last one has the largest line.
+    assert [t.line for t in toks] == sorted(t.line for t in toks)

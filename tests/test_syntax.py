@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from fmtderive.lexer import FIXED_FORM, FREE_FORM, SourceUnit, tokenize
@@ -14,6 +16,18 @@ from conftest import run_pipeline
 
 def parse_src(text, dialect=FIXED_FORM):
     return parse(tokenize(SourceUnit("<test>", text, dialect)))
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("path", [
+    ROOT / "docs" / "examples" / "odtime.f", *sorted((ROOT / "tests" / "golden").glob("*.f*")),
+], ids=lambda path: path.name)
+def test_end_line_is_the_largest_token_line(path):
+    dialect = FREE_FORM if path.suffix == ".f90" else FIXED_FORM
+    tokens = tokenize(SourceUnit(path.name, path.read_text(encoding="latin-1"), dialect))
+    assert parse(tokens).end_line == max(tok.line for tok in tokens)
 
 
 def test_empty_token_list_gives_anonymous_main():
