@@ -4,6 +4,7 @@ data-format XML document per file, plus the fmtderive command line tool."""
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 from itertools import groupby, takewhile
@@ -284,4 +285,12 @@ def run_cli(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    try:
+        status = run_cli(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout has gone (`| head`): stop quietly.  Pointing
+        # stdout at devnull keeps the exit flush from raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)

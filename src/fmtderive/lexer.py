@@ -73,13 +73,13 @@ class Token(NamedTuple):
     value: int | None = None
 
 
-DATA_TYPE_WORDS = {"INTEGER", "REAL", "LOGICAL", "COMPLEX", "CHARACTER"}
-CONTROL_WORDS = {
-    "DO", "CONTINUE", "IF", "THEN", "ELSE", "ENDIF", "GOTO",
-    "PROGRAM", "SUBROUTINE", "FUNCTION", "END", "PARAMETER",
+# The data type keywords, by spelling, and the type each names.  DOUBLE
+# PRECISION may also be written as two words, which the lexer merges.
+DATA_TYPE_WORDS = {
+    "INTEGER": "INTEGER", "REAL": "REAL", "LOGICAL": "LOGICAL", "COMPLEX": "COMPLEX",
+    "CHARACTER": "CHARACTER", "DOUBLEPRECISION": "DOUBLE_PRECISION",
 }
 FILE_OP_WORDS = {"OPEN", "CLOSE"}
-READ_WRITE_WORDS = {"READ", "WRITE", "FORMAT"}
 
 PUNCT_NAMES = {
     "(": "LPAREN",
@@ -390,7 +390,7 @@ def _classify_leading(stmt: _Statement, toks: list[Token], offs: list[int], i: i
         if w == "DOUBLE":
             _merge(stmt, toks, offs, i, TokenKind.DATA_TYPE_KEYWORD, "DOUBLE_PRECISION")
         else:
-            set_kw(TokenKind.DATA_TYPE_KEYWORD, w)
+            set_kw(TokenKind.DATA_TYPE_KEYWORD, DATA_TYPE_WORDS[w])
         if _word_at(toks, i + 1) == "FUNCTION" and _word_at(toks, i + 2):
             set_kw(TokenKind.CONTROL_KEYWORD, "FUNCTION", i + 1)
     elif w in ("READ", "WRITE"):

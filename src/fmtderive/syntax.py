@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .diagnostics import AnalysisError
-from .lexer import Token, TokenKind, _match_paren, _split_commas
+from .lexer import (
+    DATA_TYPE_WORDS, Token, TokenKind, _match_paren, _punct_at, _split_commas,
+)
 
 
 class ParseError(AnalysisError):
@@ -236,10 +238,6 @@ def flatten(statements: list[Stmt]):
 # ---------------------------------------------------------------------------
 
 
-def _is_punct(tok: Token | None, which: str) -> bool:
-    return tok is not None and tok.kind is TokenKind.PUNCTUATION and tok.which == which
-
-
 def _string_value(tok: Token) -> str:
     quote = tok.lexeme[0]
     return tok.lexeme[1:-1].replace(quote + quote, quote)
@@ -311,12 +309,12 @@ def _operand(toks: list[Token], pos: int, level: int) -> tuple[IntExpr, int]:
             return Literal(int(tok.lexeme)), pos + 1
         if tok is not None and tok.kind is TokenKind.IDENTIFIER:
             return SymbolRef(tok.lexeme.upper()), pos + 1
-        if _is_punct(tok, "LPAREN"):
+        if _punct_at(toks, pos) == "LPAREN":
             inner, pos = _operand(toks, pos + 1, 1)
-            if pos < len(toks) and _is_punct(toks[pos], "RPAREN"):
+            if _punct_at(toks, pos) == "RPAREN":
                 return inner, pos + 1
         raise _Opaque
-    sign = tok.lexeme if level == 1 and _is_punct(tok, "OTHER") else None
+    sign = tok.lexeme if level == 1 and _punct_at(toks, pos) == "OTHER" else None
     if sign in ("+", "-"):
         pos += 1
     left, pos = _operand(toks, pos, level + 1)
@@ -336,12 +334,12 @@ def _operand(toks: list[Token], pos: int, level: int) -> tuple[IntExpr, int]:
 _TYPE_WIDTHS_TO_DOUBLE = {("REAL", 8), ("REAL", 16)}
 
 
-def _parse_decl(toks: list[Token], line: int) -> DeclStmt:
+def _parse_decl(toks: list[Token], line: int, label: int | None) -> DeclStmt:
     base = toks[0].which
     assert base is not None
     char_len: int | None = None
     i = 1
-    if _is_punct(toks[i] if i < len(toks) else None, "ASTERISK"):
+    if _punct_at(toks, i) == "ASTERISK":
         if i + 1 >= len(toks) or toks[i + 1].kind is not TokenKind.INTEGER_CONSTANT:
             raise ParseError(line, f"malformed {base} length specifier")
         width = int(toks[i + 1].lexeme)
@@ -358,7 +356,7 @@ def _parse_decl(toks: list[Token], line: int) -> DeclStmt:
         dims: tuple[IntExpr, ...] = ()
         entity_len: int | None = None
         j = 1
-        if j < len(part) and _is_punct(part[j], "LPAREN"):
+        if _punct_at(part, j) == "LPAREN":
             close = _match_paren(part, j)
             if close is None:
                 raise ParseError(line, f"unbalanced dimensions for {name}")
@@ -366,7 +364,7 @@ def _parse_decl(toks: list[Token], line: int) -> DeclStmt:
                 _parse_int_expr(p, line) for p in _split_commas(part[j + 1:close])
             )
             j = close + 1
-        if j < len(part) and _is_punct(part[j], "ASTERISK"):
+        if _punct_at(part, j) == "ASTERISK":
             if j + 1 >= len(part) or part[j + 1].kind is not TokenKind.INTEGER_CONSTANT:
                 raise ParseError(line, f"malformed length for {name}")
             entity_len = int(part[j + 1].lexeme)
@@ -376,11 +374,11 @@ def _parse_decl(toks: list[Token], line: int) -> DeclStmt:
         entities.append(DeclEntity(name, dims, entity_len))
     if not entities:
         raise ParseError(line, "declaration without entities")
-    return DeclStmt(base, char_len, entities, line=line)
+    return DeclStmt(base, char_len, entities, label, line=line)
 
 
-def _parse_parameter(toks: list[Token], line: int) -> ParameterStmt:
-    if not _is_punct(toks[1] if len(toks) > 1 else None, "LPAREN"):
+def _parse_parameter(toks: list[Token], line: int, label: int | None) -> ParameterStmt:
+    if _punct_at(toks, 1) != "LPAREN":
         raise ParseError(line, "malformed PARAMETER statement")
     close = _match_paren(toks, 1)
     if close is None or close != len(toks) - 1:
@@ -390,7 +388,7 @@ def _parse_parameter(toks: list[Token], line: int) -> ParameterStmt:
         if (
             len(part) < 3
             or part[0].kind is not TokenKind.IDENTIFIER
-            or not _is_punct(part[1], "EQUALS")
+            or _punct_at(part, 1) != "EQUALS"
         ):
             raise ParseError(line, "malformed PARAMETER assignment")
         name = part[0].lexeme
@@ -398,7 +396,7 @@ def _parse_parameter(toks: list[Token], line: int) -> ParameterStmt:
         assignments.append((name, value))
     if not assignments:
         raise ParseError(line, "empty PARAMETER statement")
-    return ParameterStmt(assignments, line=line)
+    return ParameterStmt(assignments, label, line=line)
 
 
 def _parse_param_value(toks: list[Token], line: int) -> object:
@@ -420,7 +418,7 @@ def _control_list(toks: list[Token], line: int, verb: str):
     """Split the parenthesized control list that follows an OPEN, CLOSE, READ
     or WRITE keyword.  Returns the index of its closing ')', the non-empty
     positional parts, the KEY=value parts by key, and the unit's tokens."""
-    close = _match_paren(toks, 1) if _is_punct(toks[1] if len(toks) > 1 else None, "LPAREN") else None
+    close = _match_paren(toks, 1) if _punct_at(toks, 1) == "LPAREN" else None
     if close is None:
         raise ParseError(line, f"malformed {verb} statement")
     positional: list[list[Token]] = []
@@ -429,7 +427,7 @@ def _control_list(toks: list[Token], line: int, verb: str):
         if (
             len(part) >= 3
             and part[0].kind is TokenKind.IDENTIFIER
-            and _is_punct(part[1], "EQUALS")
+            and _punct_at(part, 1) == "EQUALS"
         ):
             keywords[part[0].lexeme.upper()] = part[2:]
         elif part:
@@ -440,7 +438,7 @@ def _control_list(toks: list[Token], line: int, verb: str):
     return close, positional, keywords, unit_toks
 
 
-def _parse_open(toks: list[Token], line: int) -> OpenStmt:
+def _parse_open(toks: list[Token], line: int, label: int | None) -> OpenStmt:
     close, _, keywords, unit_toks = _control_list(toks, line, "OPEN")
     if close != len(toks) - 1:
         raise ParseError(line, "unexpected tokens after OPEN")
@@ -460,18 +458,18 @@ def _parse_open(toks: list[Token], line: int) -> OpenStmt:
             status = _string_value(status_toks[0])
         else:
             raise ParseError(line, "malformed STATUS= specifier")
-    return OpenStmt(unit, file_name, file_symbol, status, line=line)
+    return OpenStmt(unit, file_name, file_symbol, status, label, line=line)
 
 
-def _parse_close(toks: list[Token], line: int) -> CloseStmt:
+def _parse_close(toks: list[Token], line: int, label: int | None) -> CloseStmt:
     *_, unit_toks = _control_list(toks, line, "CLOSE")
-    return CloseStmt(_parse_int_expr(unit_toks, line), line=line)
+    return CloseStmt(_parse_int_expr(unit_toks, line), label, line=line)
 
 
 def _parse_format_ref(toks: list[Token], line: int) -> FormatRef:
     if len(toks) == 1:
         tok = toks[0]
-        if _is_punct(tok, "ASTERISK"):
+        if tok.which == "ASTERISK":
             return ListDirected()
         if tok.kind is TokenKind.INTEGER_CONSTANT:
             value = int(tok.lexeme)
@@ -483,19 +481,18 @@ def _parse_format_ref(toks: list[Token], line: int) -> FormatRef:
     raise ParseError(line, "unsupported format specifier")
 
 
-def _parse_io(toks: list[Token], line: int, conditional: bool) -> IoStmt:
+def _parse_io(toks: list[Token], line: int, label: int | None) -> IoStmt:
     direction = toks[0].which
-    if _is_punct(toks[1] if len(toks) > 1 else None, "ASTERISK"):
+    if _punct_at(toks, 1) == "ASTERISK":
         # READ *, list: list-directed transfer on the standard unit.
         rest = toks[2:]
-        if rest and _is_punct(rest[0], "COMMA"):
+        if _punct_at(rest, 0) == "COMMA":
             rest = rest[1:]
         items = _parse_io_items(rest, line)
-        return IoStmt(direction, StarUnit(), ListDirected(), items,
-                      conditional=conditional, line=line)
+        return IoStmt(direction, StarUnit(), ListDirected(), items, label, line=line)
     close, positional, keywords, unit_toks = _control_list(toks, line, direction)
     unit: UnitSpec
-    if len(unit_toks) == 1 and _is_punct(unit_toks[0], "ASTERISK"):
+    if len(unit_toks) == 1 and unit_toks[0].which == "ASTERISK":
         unit = StarUnit()
     else:
         unit = _parse_int_expr(unit_toks, line)
@@ -506,7 +503,7 @@ def _parse_io(toks: list[Token], line: int, conditional: bool) -> IoStmt:
     fmt: FormatRef = ListDirected() if fmt_toks is None else _parse_format_ref(fmt_toks, line)
 
     items = _parse_io_items(toks[close + 1:], line)
-    return IoStmt(direction, unit, fmt, items, conditional=conditional, line=line)
+    return IoStmt(direction, unit, fmt, items, label, line=line)
 
 
 def _parse_io_items(toks: list[Token], line: int) -> list[IoItem]:
@@ -517,13 +514,13 @@ def _parse_io_items(toks: list[Token], line: int) -> list[IoItem]:
         if not part:
             raise ParseError(line, "empty I/O list item")
         head = part[0]
-        if _is_punct(head, "LPAREN"):
+        if head.which == "LPAREN":
             raise ParseError(
                 line, "implied-DO loops in I/O item lists are not supported")
         if head.kind is TokenKind.IDENTIFIER:
             subs: tuple[IntExpr, ...] = ()
             if len(part) > 1:
-                if not _is_punct(part[1], "LPAREN"):
+                if part[1].which != "LPAREN":
                     raise ParseError(line, f"malformed I/O item {head.lexeme}")
                 pclose = _match_paren(part, 1)
                 if pclose is None or pclose != len(part) - 1:
@@ -548,7 +545,7 @@ def _parse_format_stmt(toks: list[Token], line: int, label: int | None) -> Forma
     if label is None:
         raise ParseError(line, "FORMAT statement without a statement label")
     body = toks[2:-1]
-    if not _is_punct(toks[1] if len(toks) > 1 else None, "LPAREN") or not _is_punct(toks[-1], "RPAREN"):
+    if _punct_at(toks, 1) != "LPAREN" or toks[-1].which != "RPAREN":
         raise ParseError(line, "malformed FORMAT statement")
     if len(body) == 0:
         text = ""
@@ -568,7 +565,7 @@ def _parse_do_header(toks: list[Token], line: int, own_label: int | None) -> DoS
     if i >= len(toks) or toks[i].kind is not TokenKind.IDENTIFIER:
         raise ParseError(line, "malformed DO statement")
     var = toks[i].lexeme
-    if not _is_punct(toks[i + 1] if i + 1 < len(toks) else None, "EQUALS"):
+    if _punct_at(toks, i + 1) != "EQUALS":
         raise ParseError(line, "malformed DO statement")
     parts = _split_commas(toks[i + 2:])
     if len(parts) not in (2, 3) or not all(parts):
@@ -585,18 +582,28 @@ def _parse_do_header(toks: list[Token], line: int, own_label: int | None) -> DoS
 # ---------------------------------------------------------------------------
 
 
-def _split_statements(tokens: list[Token]) -> list[list[Token]]:
-    statements: list[list[Token]] = []
-    current: list[Token] = []
-    for tok in tokens:
-        if tok.kind is TokenKind.END_OF_STATEMENT:
-            statements.append(current)
-            current = []
-        else:
-            current.append(tok)
-    if current:
-        statements.append(current)
-    return statements
+def _parse_continue(toks: list[Token], line: int, label: int | None) -> ContinueStmt:
+    return ContinueStmt(label, line=line)
+
+
+# The parser of each modelled statement, by the `which` of the keyword token
+# that leads it.  Keyword and punctuation names never coincide and other
+# tokens have none, so a statement led by anything else is kept as text.
+_PARSERS = {
+    **dict.fromkeys(DATA_TYPE_WORDS.values(), _parse_decl),
+    "PARAMETER": _parse_parameter,
+    "FORMAT": _parse_format_stmt,
+    "DO": _parse_do_header,
+    "CONTINUE": _parse_continue,
+    "OPEN": _parse_open,
+    "CLOSE": _parse_close,
+    "READ": _parse_io,
+    "WRITE": _parse_io,
+}
+# The statements of that table that a logical IF may guard.
+_GUARDED = ("OPEN", "CLOSE", "READ", "WRITE")
+# Program unit headers; the first one names the unit.
+_HEADERS = ("PROGRAM", "SUBROUTINE", "FUNCTION")
 
 
 def parse(tokens: list[Token]) -> ProgramUnit:
@@ -610,109 +617,54 @@ def parse(tokens: list[Token]) -> ProgramUnit:
     unit = ProgramUnit(None, ANONYMOUS_MAIN, [])
     if tokens:
         unit.end_line = tokens[-1].line  # tokens come in source order
-    do_stack: list[DoStmt] = []  # open loops, innermost last
+    loops: list[DoStmt] = []  # open loops, innermost last
     if_depth = 0
-    header_seen = False
-
-    def current_body() -> list[Stmt]:
-        return do_stack[-1].body if do_stack else unit.statements
-
-    def close_innermost():
-        loop = do_stack.pop()
-        current_body().append(loop)
-
-    def close_loops(label: int | None):
-        while label is not None and do_stack and do_stack[-1].label == label:
-            close_innermost()
-
-    def append(stmt: Stmt, label: int | None):
-        if not isinstance(stmt, (FormatStmt, DoStmt, ContinueStmt)):
-            stmt.label = label
-        current_body().append(stmt)
-        close_loops(label)
-
-    for stmt_toks in _split_statements(tokens):
-        if not stmt_toks:
+    start = 0
+    ends = [i for i, tok in enumerate(tokens) if tok.kind is TokenKind.END_OF_STATEMENT]
+    for end in ends + [len(tokens)]:
+        toks, start = tokens[start:end], end + 1
+        if not toks:
             continue
-        label = None
-        if stmt_toks[0].kind is TokenKind.STATEMENT_LABEL:
-            label = stmt_toks[0].value
-            stmt_toks = stmt_toks[1:]
-        line = stmt_toks[0].line if stmt_toks else 0
-        if not stmt_toks:
-            append(OtherStmt("", line=line), label)
-            continue
-
-        first = stmt_toks[0]
+        label = toks[0].value  # only a statement label has a value
+        if label is not None:
+            del toks[0]
+        line = toks[0].line if toks else 0
+        # A typed FUNCTION header is led by its FUNCTION keyword.
+        head = 1 if len(toks) > 1 and toks[1].which == "FUNCTION" else 0
+        key = toks[head].which if toks else None
+        body, conditional = toks, if_depth > 0
+        if key == "IF":
+            rest = toks[_match_paren(toks, 1) + 1:]
+            if rest and rest[0].which in _GUARDED:
+                body, key, conditional = rest, rest[0].which, True
+            elif rest and rest[0].which == "THEN":
+                if_depth += 1
+        elif key == "ENDIF":
+            if_depth = max(0, if_depth - 1)
+        elif key in _HEADERS and unit.kind == ANONYMOUS_MAIN:
+            unit.kind, unit.name = key, toks[head + 1].lexeme
+        parser = _PARSERS.get(key)
         try:
-            kind, which = first.kind, first.which
-
-            if kind is TokenKind.DATA_TYPE_KEYWORD:
-                if (
-                    len(stmt_toks) > 1
-                    and stmt_toks[1].kind is TokenKind.CONTROL_KEYWORD
-                    and stmt_toks[1].which == "FUNCTION"
-                ):
-                    if not header_seen and len(stmt_toks) > 2:
-                        unit.name = stmt_toks[2].lexeme
-                        unit.kind = "FUNCTION"
-                        header_seen = True
-                    append(OtherStmt(_raw_text(stmt_toks), line=line), label)
-                else:
-                    append(_parse_decl(stmt_toks, line), label)
-            elif kind is TokenKind.CONTROL_KEYWORD and which == "PARAMETER":
-                append(_parse_parameter(stmt_toks, line), label)
-            elif kind is TokenKind.CONTROL_KEYWORD and which == "DO":
-                do_stack.append(_parse_do_header(stmt_toks, line, label))
-            elif kind is TokenKind.CONTROL_KEYWORD and which == "CONTINUE":
-                append(ContinueStmt(label, line=line), label)
-            elif kind is TokenKind.CONTROL_KEYWORD and which in ("PROGRAM", "SUBROUTINE", "FUNCTION"):
-                if not header_seen and len(stmt_toks) > 1:
-                    unit.name = stmt_toks[1].lexeme
-                    unit.kind = which
-                    header_seen = True
-                append(OtherStmt(_raw_text(stmt_toks), line=line), label)
-            elif kind is TokenKind.CONTROL_KEYWORD and which == "IF":
-                close = _match_paren(stmt_toks, 1)
-                after = stmt_toks[close + 1:] if close is not None else []
-                if close is None:
-                    append(OtherStmt(_raw_text(stmt_toks), line=line), label)
-                elif (
-                    len(after) == 1
-                    and after[0].kind is TokenKind.CONTROL_KEYWORD
-                    and after[0].which == "THEN"
-                ):
-                    append(OtherStmt(_raw_text(stmt_toks), line=line), label)
-                    if_depth += 1
-                elif after and after[0].kind is TokenKind.READ_WRITE_KEYWORD and after[0].which in ("READ", "WRITE"):
-                    append(_parse_io(after, line, conditional=True), label)
-                elif after and after[0].kind is TokenKind.FILE_OP_KEYWORD:
-                    sub = _parse_open(after, line) if after[0].which == "OPEN" else _parse_close(after, line)
-                    append(sub, label)
-                else:
-                    append(OtherStmt(_raw_text(stmt_toks), line=line), label)
-            elif kind is TokenKind.CONTROL_KEYWORD and which == "ENDIF":
-                append(OtherStmt(_raw_text(stmt_toks), line=line), label)
-                if_depth = max(0, if_depth - 1)
-            elif kind is TokenKind.FILE_OP_KEYWORD:
-                parser = _parse_open if which == "OPEN" else _parse_close
-                append(parser(stmt_toks, line), label)
-            elif kind is TokenKind.READ_WRITE_KEYWORD:
-                if which == "FORMAT":
-                    append(_parse_format_stmt(stmt_toks, line, label), label)
-                else:
-                    append(_parse_io(stmt_toks, line, conditional=if_depth > 0), label)
-            else:
-                raw = _raw_text(stmt_toks)
-                append(OtherStmt(raw, line=line), label)
-                if raw.upper().replace(" ", "") == "ENDDO" and do_stack and do_stack[-1].label is None:
-                    close_innermost()
+            stmt = parser(body, line, label) if parser else OtherStmt(_raw_text(toks), label, line)
         except ParseError as err:
-            err.column = first.column
+            err.column = toks[0].column
             raise
+        if isinstance(stmt, IoStmt):
+            stmt.conditional = conditional
+        # A loop joins its enclosing body when it opens; a statement then
+        # closes the loops that end on its label, or one END DO loop.
+        (loops[-1].body if loops else unit.statements).append(stmt)
+        if isinstance(stmt, DoStmt):
+            loops.append(stmt)
+            continue
+        while label is not None and loops and loops[-1].label == label:
+            loops.pop()
+        if (loops and loops[-1].label is None and isinstance(stmt, OtherStmt)
+                and stmt.raw.upper().replace(" ", "") == "ENDDO"):
+            loops.pop()
 
-    if do_stack:
-        raise ParseError(do_stack[-1].line, "unterminated DO loop", do_stack[-1].column)
+    if loops:
+        raise ParseError(loops[-1].line, "unterminated DO loop", loops[-1].column)
     return unit
 
 

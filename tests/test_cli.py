@@ -139,6 +139,21 @@ def test_module_entry_point(model_file, tmp_path):
     assert (tmp_path / "o" / "Basic.TXT.format.xml").exists()
 
 
+def test_closed_stdout_stops_quietly(tmp_path):
+    # Enough dump lines to overflow the pipe once the reader has gone.
+    src = tmp_path / "big.f"
+    src.write_text("      WRITE(6,*) I, J, K, L\n" * 5000)
+    out = tmp_path / "out"
+    with subprocess.Popen(
+        [sys.executable, "-m", "fmtderive", "parse", "--dump-tokens", str(src), "-o", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"1:7 read-write-keyword(WRITE) WRITE\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+
+
 @pytest.mark.parametrize("name, source, location, message", [
     ("q.f",
      "      OPEN(3, FILE='Q.TXT')\n      WRITE(3,100) X\n  100 FORMAT(Q4)\n",

@@ -121,6 +121,18 @@ def test_double_precision_merges_into_one_token():
     assert toks[0].lexeme == "DOUBLE PRECISION"
 
 
+def test_doubleprecision_as_one_word_is_a_type_keyword():
+    # Like END IF and GO TO, DOUBLE PRECISION may be written without its blank.
+    toks = lex("DOUBLEPRECISION X")
+    assert kinds(toks)[0] == (TokenKind.DATA_TYPE_KEYWORD, "DOUBLE_PRECISION")
+    assert toks[0].lexeme == "DOUBLEPRECISION"
+    assert kinds(lex("DOUBLEPRECISION FUNCTION G(X)"))[:2] == [
+        (TokenKind.DATA_TYPE_KEYWORD, "DOUBLE_PRECISION"),
+        (TokenKind.CONTROL_KEYWORD, "FUNCTION"),
+    ]
+    assert kinds(lex("DOUBLEPRECISION = 1.0"))[0] == (TokenKind.IDENTIFIER, None)
+
+
 def test_fixed_form_continuation_joins_statement():
     src = (
         "      OPEN (2, FILE='ODT\n"

@@ -9,7 +9,8 @@ from fmtderive.lexer import FREE_FORM, SourceUnit, tokenize
 from fmtderive.symbols import (
     DOUBLE_PRECISION, INTEGER, REAL, ConflictingDeclaration, DataType,
     SymbolTables, UndeclaredName, Unresolved, VariableConstantClash,
-    build_tables, character, doc_name, eval_int, implicit_type, lookup_type,
+    build_tables, character, doc_name, dump_symbols, eval_int, implicit_type,
+    lookup_type,
 )
 from fmtderive.syntax import BinOp, IoItem, Literal, Neg, SymbolRef, expr_text, parse
 
@@ -155,6 +156,15 @@ def test_star_width_declarations():
     tables = tables_for("      REAL*8 X\n      INTEGER*2 K\n")
     assert tables.find_variable("X").data_type == DOUBLE_PRECISION
     assert tables.find_variable("K").data_type == INTEGER
+
+
+def test_doubleprecision_as_one_word_declares_double():
+    source = "      DOUBLEPRECISION FUNCTION G(X)\n      DOUBLEPRECISION X\n      WRITE(6,*) X\n"
+    program, tables, events = run_pipeline(source)
+    assert (program.kind, program.name) == ("FUNCTION", "G")
+    assert "  X: double [G]" in dump_symbols(tables).splitlines()
+    assert [doc_name(item.data_type) for item in events[0].items] == ["double"]
+    assert not events[0].diagnostics
 
 
 def test_complex_and_logical_declarations():

@@ -8,7 +8,7 @@ from fmtderive.syntax import (
     DuplicateFormatLabel, FormatStmt, Inline, IoItem, IoStmt, Label,
     ListDirected, Literal, OpenStmt, OtherStmt, ParameterStmt, ParseError,
     BinOp, Neg, StarUnit, SymbolRef, attach_formats, canonical_text, dump_ast,
-    expr_text, flatten, parse,
+    expr_text, flatten, parse, walk,
 )
 
 from conftest import run_pipeline
@@ -147,6 +147,49 @@ def test_program_header_sets_unit_name():
     assert unit.kind == "PROGRAM"
     # Header and END are still present as statements.
     assert len(unit.statements) == 2
+
+
+_CONDITIONAL_NEST = """\
+IF (A) THEN
+WRITE(6,*) X
+IF (B) THEN
+WRITE(6,*) X
+ELSE IF (C) THEN
+WRITE(6,*) X
+END IF
+WRITE(6,*) X
+ENDIF
+WRITE(6,*) X
+"""
+
+
+# Each source form: the statements it parses to, in walk order, as (loop
+# depth, node class, conditional flag), and the unit's kind and name.
+@pytest.mark.parametrize("text, shape, unit", [
+    ("INTEGER FUNCTION F(X)\nSUBROUTINE S\nEND\n",
+     [(0, OtherStmt, False)] * 3, ("FUNCTION", "F")),
+    ("DOUBLE PRECISION FUNCTION G(X)\nEND\n",
+     [(0, OtherStmt, False)] * 2, ("FUNCTION", "G")),
+    ("PROGRAM P\nFUNCTION F(X)\nEND\n", [(0, OtherStmt, False)] * 3, ("PROGRAM", "P")),
+    ("IF (K.GT.0) OPEN(10, FILE='A.DAT')\n", [(0, OpenStmt, False)], (ANONYMOUS_MAIN, None)),
+    ("IF (K.GT.0) CLOSE(10)\n", [(0, CloseStmt, False)], (ANONYMOUS_MAIN, None)),
+    ("IF (K.GT.0) GOTO 10\n", [(0, OtherStmt, False)], (ANONYMOUS_MAIN, None)),
+    ("DO = 1\n", [(0, OtherStmt, False)], (ANONYMOUS_MAIN, None)),
+    ("READ(1) = 3\n", [(0, OtherStmt, False)], (ANONYMOUS_MAIN, None)),
+    (_CONDITIONAL_NEST,
+     [(0, OtherStmt, False), (0, IoStmt, True), (0, OtherStmt, False), (0, IoStmt, True),
+      (0, OtherStmt, False), (0, IoStmt, True), (0, OtherStmt, False), (0, IoStmt, True),
+      (0, OtherStmt, False), (0, IoStmt, False)],
+     (ANONYMOUS_MAIN, None)),
+    ("DO I=1,3\nWRITE(6,*) I\n10 END DO\nWRITE(6,*) J\n",
+     [(0, DoStmt, False), (1, IoStmt, False), (1, OtherStmt, False), (0, IoStmt, False)],
+     (ANONYMOUS_MAIN, None)),
+])
+def test_statement_forms(text, shape, unit):
+    program = parse_src(text, FREE_FORM)
+    assert [(len(loops), type(stmt), getattr(stmt, "conditional", False))
+            for stmt, loops in walk(program.statements)] == shape
+    assert (program.kind, program.name) == unit
 
 
 def test_parameter_statement():
