@@ -2,7 +2,7 @@
 every file the program reads or writes, one XML document per file."""
 
 from .diagnostics import AnalysisError, Diagnostic
-from .emit import DataFormatDoc, FieldEntry, RecordGroup, build_docs, run_cli, serialize
+from .emit import DataFormatDoc, build_docs, run_cli, serialize
 from .fmtengine import (
     CharEdit, DescriptorError, ExpEdit, FixedEdit, Group, IntEdit, Layout,
     LayoutItem, LayoutKind, LiteralText, PositionX, RecordBreak, Repeated,

@@ -13,8 +13,8 @@ from pathlib import Path
 from . import diagnostics as diag
 from .diagnostics import AnalysisError, Diagnostic
 from .fmtengine import (
-    DescriptorError, canonical_text as descriptor_text, data_format_of,
-    describe, expand, layout_table, parse_descriptors,
+    DescriptorError, canonical_text, data_format_of, describe, expand,
+    layout_table, parse_descriptors,
 )
 from .ioflow import IoEvent, analyze, dump_events
 from .lexer import FIXED_FORM, FREE_FORM, SourceUnit, describe_token, tokenize
@@ -22,27 +22,11 @@ from .symbols import build_tables, doc_name, dump_symbols
 from .syntax import ListDirected, attach_formats, dump_ast, expr_text, parse
 
 
-@dataclass(frozen=True)
-class FieldEntry:
-    type_name: str  # integer, real, double, character, ...
-    format: str  # canonical descriptor text, or "*" for list-directed
-    separators_before: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class RecordGroup:
-    number: int | str
-    entries: tuple[FieldEntry, ...]
-    separator_mode: str  # "list-directed" or "explicit"
-    resolved_default: int | None = None  # set when number is symbolic
-    conditional: bool = False
-
-
 @dataclass
 class DataFormatDoc:
     file_name: str
     direction: str  # input, output or both
-    groups: tuple[RecordGroup, ...] = ()
+    groups: tuple[IoEvent, ...] = ()  # the file's transfers of at least one item
     diagnostics: tuple[Diagnostic, ...] = ()
 
 
@@ -62,49 +46,19 @@ def build_docs(events: list[IoEvent]) -> list[DataFormatDoc]:
         else:
             direction = "both"
 
-        groups: list[RecordGroup] = []
         notes: list[Diagnostic] = []
         for event in file_events:
             notes.extend(event.binding.diagnostics)
             notes.extend(event.diagnostics)
-            if not event.items:
-                continue
-            mult = event.multiplicity
-            if mult.resolved == 0:
+            if event.items and event.multiplicity.resolved == 0:
                 notes.append(Diagnostic(
                     diag.ZERO_MULTIPLICITY,
                     f"the group from line {event.source_line} never executes",
                     event.source_line,
                 ))
-            number: int | str = mult.resolved
-            resolved_default = None
-            if mult.defaulted:
-                number = expr_text(mult.count)
-                resolved_default = mult.resolved
-            entries = tuple(
-                FieldEntry(
-                    doc_name(item.data_type),
-                    data_format_of(item.data_type, item.descriptor),
-                    _separator_texts(item.separators),
-                )
-                for item in event.items
-            )
-            separator_mode = (
-                "list-directed" if isinstance(event.format, ListDirected) else "explicit"
-            )
-            groups.append(RecordGroup(
-                number, entries, separator_mode, resolved_default, mult.conditional))
-
-        docs.append(DataFormatDoc(name, direction, tuple(groups), tuple(dict.fromkeys(notes))))
+        groups = tuple(event for event in file_events if event.items)
+        docs.append(DataFormatDoc(name, direction, groups, tuple(dict.fromkeys(notes))))
     return docs
-
-
-def _separator_texts(separators) -> tuple[str, ...]:
-    """One canonical text per separator, rendered once per run of equal ones."""
-    texts: list[str] = []
-    for sep, run in groupby(separators):
-        texts += [descriptor_text([sep])] * len(list(run))
-    return tuple(texts)
 
 
 # ---------------------------------------------------------------------------
@@ -125,20 +79,24 @@ def serialize(doc: DataFormatDoc) -> str:
     """Render a document as well-formed XML with two-space indentation."""
     open_tag = f'<dataformat file="{_esc(doc.file_name)}" direction="{doc.direction}">'
     children: list[str] = []
-    for group in doc.groups:
-        attrs = [f'number="{_esc(str(group.number))}"']
-        if group.resolved_default is not None:
-            attrs.append(f'resolved="{group.resolved_default}"')
-            attrs.append('resolution="default"')
-        attrs.append(f'separator="{group.separator_mode}"')
-        if group.conditional:
-            attrs.append('conditional="true"')
-        children.append(f'  <group {" ".join(attrs)}>')
-        for entry in group.entries:
-            for sep, run in groupby(entry.separators_before):
-                children += [f'    <sep format="{_esc(sep)}"/>'] * len(list(run))
-            children.append(
-                f'    <{entry.type_name} format="{_esc(entry.format)}"/>')
+    for event in doc.groups:
+        mult = event.multiplicity
+        if mult.defaulted:
+            attrs = (f'number="{_esc(expr_text(mult.count))}"'
+                     f' resolved="{mult.resolved}" resolution="default"')
+        else:
+            attrs = f'number="{mult.resolved}"'
+        mode = "list-directed" if isinstance(event.format, ListDirected) else "explicit"
+        attrs += f' separator="{mode}"'
+        if mult.conditional:
+            attrs += ' conditional="true"'
+        children.append(f"  <group {attrs}>")
+        for item in event.items:
+            for sep, run in groupby(item.separators):
+                line = f'    <sep format="{_esc(canonical_text([sep]))}"/>'
+                children += [line] * len(list(run))
+            text = _esc(data_format_of(item.data_type, item.descriptor))
+            children.append(f'    <{doc_name(item.data_type)} format="{text}"/>')
         children.append("  </group>")
     for note in doc.diagnostics:
         attrs = f' kind="{_esc(note.kind)}"'

@@ -652,14 +652,16 @@ def parse(tokens: list[Token]) -> ProgramUnit:
         if isinstance(stmt, IoStmt):
             stmt.conditional = conditional
         # A loop joins its enclosing body when it opens; a statement then
-        # closes the loops that end on its label, or one END DO loop.
+        # closes the loops that end on its label, or else one END DO loop.
         (loops[-1].body if loops else unit.statements).append(stmt)
         if isinstance(stmt, DoStmt):
             loops.append(stmt)
             continue
+        open_loops = len(loops)
         while label is not None and loops and loops[-1].label == label:
             loops.pop()
-        if (loops and loops[-1].label is None and isinstance(stmt, OtherStmt)
+        if (len(loops) == open_loops and loops and loops[-1].label is None
+                and isinstance(stmt, OtherStmt)
                 and stmt.raw.upper().replace(" ", "") == "ENDDO"):
             loops.pop()
 

@@ -1,10 +1,11 @@
 """Golden tests for --dump-tokens, --dump-ast and --dump-events.
 
 They pin the statement walker's full nesting and order: END DO loops, label-
-terminated loops sharing one terminal label, block IF arms and FORMAT
-statements inside loop bodies.  The token dumps pin every token's line:col,
-across fixed-form continuation lines, ragged and blank-split labels, the
-column-72 cut, free-form '&' continuations and '!' or '&' inside strings.
+terminated loops sharing one terminal label, a labelled DO ended by a
+labelled END DO, block IF arms and FORMAT statements inside loop bodies.
+The token dumps pin every token's line:col, across fixed-form continuation
+lines, ragged and blank-split labels, the column-72 cut, free-form '&'
+continuations and '!' or '&' inside strings.
 The document summary lines are part of the golden, with the output
 directory written as <out>.
 """
@@ -23,6 +24,8 @@ SOURCES = {
     "nested": (GOLDEN / "nested.f90", "free"),
     "continued": (GOLDEN / "continued.f", "fixed"),
     "ampersand": (GOLDEN / "ampersand.f90", "free"),
+    # `10 END DO` ends `DO 10` by its label and closes no second loop.
+    "labelled_enddo": (GOLDEN / "labelled_enddo.f90", "free"),
 }
 
 

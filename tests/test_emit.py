@@ -6,11 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fmtderive.diagnostics import Diagnostic
-from fmtderive.emit import DataFormatDoc, FieldEntry, RecordGroup, build_docs, serialize
-from fmtderive.fmtengine import IntEdit, LiteralText, PositionX, canonical_text
+from fmtderive.emit import DataFormatDoc, build_docs, serialize
+from fmtderive.fmtengine import (
+    CharEdit, ExpEdit, FixedEdit, IntEdit, LiteralText, PositionX,
+)
 from fmtderive.ioflow import EventItem, IoEvent, Multiplicity, UnitBinding
-from fmtderive.symbols import INTEGER
-from fmtderive.syntax import Label, Literal
+from fmtderive.symbols import DOUBLE_PRECISION, INTEGER, REAL, character
+from fmtderive.syntax import BinOp, Inline, Label, ListDirected, Literal, SymbolRef, expr_text
 
 from conftest import run_pipeline
 
@@ -90,25 +92,22 @@ def test_model_docs_structure(model_source):
 
     odtime, basic = docs
     assert odtime.direction == "input"
-    assert len(odtime.groups) == 1
-    group = odtime.groups[0]
-    assert group.number == 18496
-    assert group.separator_mode == "list-directed"
-    assert [(e.type_name, e.format) for e in group.entries] == [
-        ("integer", "*"), ("integer", "*"), ("double", "*"),
+    [event] = odtime.groups
+    assert event.multiplicity.resolved == 18496 and not event.multiplicity.defaulted
+    assert isinstance(event.format, ListDirected)
+    assert [(i.data_type, i.descriptor, i.separators) for i in event.items] == [
+        (INTEGER, None, ()), (INTEGER, None, ()), (DOUBLE_PRECISION, None, ()),
     ]
 
     assert basic.direction == "output"
-    assert len(basic.groups) == 1
-    group = basic.groups[0]
-    assert group.number == 136
-    assert group.separator_mode == "explicit"
-    assert [(e.type_name, e.format) for e in group.entries] == [
-        ("integer", "i4"), ("integer", "i4"),
-        ("double", "f12.6"), ("double", "f12.6"), ("double", "f12.6"),
+    [event] = basic.groups
+    assert event.multiplicity.resolved == 136 and not event.multiplicity.defaulted
+    assert event.format == Label(501)
+    x, i4, f12 = PositionX(1), IntEdit(4), FixedEdit(12, 6)
+    assert [(i.data_type, i.descriptor, i.separators) for i in event.items] == [
+        (INTEGER, i4, (x, x)), (INTEGER, i4, (x,)),
+        (DOUBLE_PRECISION, f12, (x,)), (DOUBLE_PRECISION, f12, (x,)), (DOUBLE_PRECISION, f12, (x,)),
     ]
-    assert group.entries[0].separators_before == ("1x", "1x")
-    assert all(e.separators_before == ("1x",) for e in group.entries[1:])
 
 
 def test_model_docs_golden(model_source):
@@ -133,7 +132,8 @@ def test_two_writes_merge_into_one_doc_two_groups():
     assert len(docs) == 1
     doc = docs[0]
     assert doc.direction == "output"
-    assert [g.separator_mode for g in doc.groups] == ["list-directed", "explicit"]
+    assert [e.format for e in doc.groups] == [ListDirected(), Label(100)]
+    assert re.findall(r'separator="([\w-]+)"', serialize(doc)) == ["list-directed", "explicit"]
 
 
 def test_read_and_write_same_file_direction_both():
@@ -161,9 +161,9 @@ def test_defaulted_multiplicity_serialization():
         "      CLOSE(8)\n"
     )
     doc = docs_for(src)[0]
-    group = doc.groups[0]
-    assert group.number == "M"
-    assert group.resolved_default == 1
+    mult = doc.groups[0].multiplicity
+    assert mult.defaulted and expr_text(mult.count) == "M"
+    assert mult.resolved == 1
     text = serialize(doc)
     assert '<group number="M" resolved="1" resolution="default" separator="list-directed">' in text
     assert any(d.kind == "default-loop-count" for d in doc.diagnostics)
@@ -194,19 +194,22 @@ def test_unresolved_constant_note_reaches_the_document():
 
 def test_conditional_group_attribute(tolerant_source):
     doc = docs_for(tolerant_source)[0]
-    assert [g.conditional for g in doc.groups] == [True, False]
+    assert [e.multiplicity.conditional for e in doc.groups] == [True, False]
     assert 'conditional="true"' in serialize(doc)
 
 
 def test_notes_and_attributes_are_escaped():
+    name = 'WE"IRD<&>.TXT'
+    item = EventItem("K", INTEGER, IntEdit(4), (LiteralText('<&">'),))
+    event = IoEvent("READ", UnitBinding(9, name), Label(20), (item,), Multiplicity(Literal(1), 1), 3)
     doc = DataFormatDoc(
-        'WE"IRD<&>.TXT', "input",
-        (RecordGroup(1, (FieldEntry("integer", "i4"),), "explicit"),),
+        name, "input", (event,),
         (Diagnostic("unknown-unit", 'unit <9> has no "binding" & more'),),
     )
     text = serialize(doc)
     minidom.parseString(text)
     assert_well_formed(text)
+    assert '<sep format="\'&lt;&amp;&quot;&gt;\'"/>' in text
     assert "&amp;" in text and "&lt;" in text
 
 
@@ -227,10 +230,15 @@ def test_serialization_is_deterministic(model_source):
 def test_every_item_appears_exactly_once(model_source, tolerant_source):
     for source in (model_source, tolerant_source):
         _, _, events = run_pipeline(source)
-        docs = build_docs(events)
-        emitted = sum(len(g.entries) for d in docs for g in d.groups)
-        expected = sum(len(e.items) for e in events)
-        assert emitted == expected
+        for doc in build_docs(events):
+            root = minidom.parseString(serialize(doc)).documentElement
+            fields = [
+                node for group in root.getElementsByTagName("group")
+                for node in group.childNodes
+                if node.nodeType == node.ELEMENT_NODE and node.tagName != "sep"
+            ]
+            expected = sum(len(e.items) for e in events if e.binding.file_name == doc.file_name)
+            assert len(fields) == expected > 0
 
 
 def test_zero_multiplicity_group_is_kept_with_note():
@@ -242,12 +250,15 @@ def test_zero_multiplicity_group_is_kept_with_note():
         "      CLOSE(8)\n"
     )
     doc = docs_for(src)[0]
-    assert doc.groups[0].number == 0
+    assert doc.groups[0].multiplicity.resolved == 0
+    assert '<group number="0" separator="list-directed">' in serialize(doc)
     assert any(d.kind == "zero-multiplicity" for d in doc.diagnostics)
 
 
-# Separator runs: equal leaves, drawn apart or repeated as one object, side by
-# side, with text that needs escaping.
+# Drawn transfers for the serialize oracle.  Separator runs: equal leaves,
+# drawn apart or repeated as one object, side by side, with text that needs
+# escaping.  Counts: resolved, zero or defaulted, conditional or not.  A
+# transfer may have no items.
 _separator_runs = st.lists(st.tuples(
     st.one_of(
         st.builds(PositionX, st.integers(1, 3)),
@@ -255,31 +266,98 @@ _separator_runs = st.lists(st.tuples(
     ),
     st.integers(1, 30),
 ), max_size=6)
-_items = st.lists(_separator_runs.map(
-    lambda runs: EventItem("K", INTEGER, IntEdit(4), tuple(sep for sep, n in runs for _ in range(n)))),
-    min_size=1, max_size=4)
+_types = st.sampled_from([INTEGER, REAL, DOUBLE_PRECISION, character(8)])
+_descriptors = st.one_of(
+    st.builds(IntEdit, st.integers(1, 12)),
+    st.builds(FixedEdit, st.integers(1, 12), st.integers(0, 6)),
+    st.builds(ExpEdit, st.integers(1, 12), st.integers(0, 6)),
+    st.builds(CharEdit, st.none() | st.integers(1, 12)),
+)
+_explicit_items = st.lists(st.builds(
+    lambda data_type, descriptor, runs: EventItem(
+        "K", data_type, descriptor, tuple(sep for sep, n in runs for _ in range(n))),
+    _types, _descriptors, _separator_runs,
+), max_size=4)
+_list_items = st.lists(st.builds(EventItem, st.just("K"), _types, st.none()), max_size=4)
+
+# Trip-count products and their text, written by the rules of
+# docs/format-schema.md: outermost loop first, only the parentheses needed.
+# All but the first are symbolic, so they may be defaulted.
+N, M, NR = SymbolRef("N"), SymbolRef("M"), SymbolRef("NR")
+_COUNTS = [
+    (Literal(7), "7"),
+    (N, "N"),
+    (BinOp("*", N, M), "N*M"),
+    (BinOp("*", BinOp("+", BinOp("-", NR, Literal(2)), Literal(1)), M), "(NR-2+1)*M"),
+]
 
 
-def one_sep_per_separator(events) -> str:
-    """Reference rendering: one canonical text and one <sep> line per separator."""
+@st.composite
+def _events(draw):
+    """An event writing OUT.DAT, with the expected text of its symbolic count."""
+    defaulted = draw(st.booleans())
+    count, text = draw(st.sampled_from(_COUNTS[1:] if defaulted else _COUNTS))
+    resolved, line = draw(st.integers(0, 50)), draw(st.integers(1, 3))
+    fmt = draw(st.sampled_from([ListDirected(), Label(20), Inline("I4")]))
+    items = draw(_list_items if fmt == ListDirected() else _explicit_items)
+    mult = Multiplicity(count, resolved, draw(st.booleans()), defaulted)
+    return IoEvent("WRITE", UnitBinding(10, "OUT.DAT"), fmt, tuple(items), mult, line), text
+
+
+_ELEMENTS = {INTEGER: "integer", REAL: "real", DOUBLE_PRECISION: "double", character(8): "character"}
+
+
+def _descriptor_text(d) -> str:
+    """The canonical lowercase text of one leaf, as the schema spells it."""
+    if isinstance(d, PositionX):
+        return f"{d.count}x"
+    if isinstance(d, IntEdit):
+        return f"i{d.width}"
+    if isinstance(d, (FixedEdit, ExpEdit)):
+        return f"{'f' if isinstance(d, FixedEdit) else 'e'}{d.width}.{d.frac}"
+    if isinstance(d, CharEdit):
+        return "a" if d.width is None else f"a{d.width}"
+    return "'" + d.text.replace("'", "''") + "'"
+
+
+def reference_groups(drawn) -> str:
+    """Reference rendering from docs/format-schema.md: one <group> per
+    transfer of at least one item, one <sep> line per separator and one field
+    element per item."""
+    quote = {'"': "&quot;"}
     lines = ['<dataformat file="OUT.DAT" direction="output">']
-    for event in events:
-        lines.append('  <group number="1" separator="explicit">')
+    for event, text in drawn:
+        if not event.items:
+            continue
+        mult = event.multiplicity
+        if mult.defaulted:
+            attrs = f'number="{text}" resolved="{mult.resolved}" resolution="default"'
+        else:
+            attrs = f'number="{mult.resolved}"'
+        attrs += ' separator="list-directed"' if event.format == ListDirected() else ' separator="explicit"'
+        if mult.conditional:
+            attrs += ' conditional="true"'
+        lines.append(f"  <group {attrs}>")
         for item in event.items:
             for sep in item.separators:
-                text = escape(canonical_text([sep]), {'"': "&quot;"})
-                lines.append(f'    <sep format="{text}"/>')
-            lines.append('    <integer format="i4"/>')
+                lines.append(f'    <sep format="{escape(_descriptor_text(sep), quote)}"/>')
+            form = "*" if item.descriptor is None else _descriptor_text(item.descriptor)
+            lines.append(f'    <{_ELEMENTS[item.data_type]} format="{form}"/>')
         lines.append("  </group>")
+    if len(lines) == 1:
+        return '<dataformat file="OUT.DAT" direction="output"></dataformat>\n'
     return "\n".join(lines) + "\n</dataformat>\n"
 
 
-@given(st.lists(_items, min_size=1, max_size=3))
-def test_separator_runs_serialize_one_line_per_separator(item_lists):
-    binding = UnitBinding(10, "OUT.DAT")
-    events = [
-        IoEvent("WRITE", binding, Label(20), tuple(items), Multiplicity(Literal(1), 1), line)
-        for line, items in enumerate(item_lists, 1)
-    ]
-    [doc] = build_docs(events)
-    assert serialize(doc) == one_sep_per_separator(events)
+_NOTE = re.compile(r'  <note kind="([\w-]+)" line="(\d+)">.*</note>\n')
+
+
+@given(st.lists(_events(), min_size=1, max_size=3))
+def test_separator_runs_serialize_one_line_per_separator(drawn):
+    [doc] = build_docs([event for event, _ in drawn])
+    text = serialize(doc)
+    assert _NOTE.sub("", text) == reference_groups(drawn)
+    # A group that never executes is kept, with one note per line.
+    zero_lines = dict.fromkeys(
+        e.source_line for e, _ in drawn if e.items and e.multiplicity.resolved == 0)
+    assert _NOTE.findall(text) == [("zero-multiplicity", str(line)) for line in zero_lines]
