@@ -237,8 +237,13 @@ def analyze(
             notes += parse_notes
             pairs, reverted = pair_items(descriptors, len(stmt.items))
             if reverted:
+                # Only reversion can leave items unpaired: F77 13.3 wants a
+                # data edit descriptor for every item.
+                unpaired = sum(leaf is None for leaf, _ in pairs)
                 notes.append(Diagnostic(
                     diag.DESCRIPTOR_ARITY,
+                    f"the format has no data edit descriptor for {unpaired} of {len(pairs)} items"
+                    if unpaired else
                     f"{len(stmt.items)} items exceed the format's data descriptors;"
                     " format reversion applied",
                     stmt.line,

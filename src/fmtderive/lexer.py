@@ -5,7 +5,8 @@ rules or free-form ampersand continuations), then each statement is scanned
 into classified tokens.  FORTRAN has no reserved words, so keyword-vs-
 identifier resolution is driven by statement-leading context: ``READ`` is a
 keyword only when a read statement can start there, otherwise it is an
-ordinary identifier.
+ordinary identifier.  One pass classifies each statement, a logical IF's
+statement included.
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ DATA_TYPE_WORDS = {
     "INTEGER": "INTEGER", "REAL": "REAL", "LOGICAL": "LOGICAL", "COMPLEX": "COMPLEX",
     "CHARACTER": "CHARACTER", "DOUBLEPRECISION": "DOUBLE_PRECISION",
 }
-FILE_OP_WORDS = {"OPEN", "CLOSE"}
 
 PUNCT_NAMES = {
     "(": "LPAREN",
@@ -320,15 +320,11 @@ def _scan_raw(stmt: _Statement) -> tuple[list[Token], list[int]]:
 
 
 def _word_at(toks: list[Token], i: int) -> str | None:
-    if 0 <= i < len(toks) and toks[i].kind is TokenKind.IDENTIFIER:
-        return toks[i].lexeme.upper()
-    return None
+    return toks[i].lexeme.upper() if 0 <= i < len(toks) and toks[i].kind is TokenKind.IDENTIFIER else None
 
 
 def _punct_at(toks, i: int) -> str | None:
-    if 0 <= i < len(toks) and toks[i].kind is TokenKind.PUNCTUATION:
-        return toks[i].which
-    return None
+    return toks[i].which if 0 <= i < len(toks) and toks[i].kind is TokenKind.PUNCTUATION else None
 
 
 def _match_paren(toks, i_lparen: int) -> int | None:
@@ -365,136 +361,117 @@ def _split_commas(toks: list) -> list[list]:
     return parts
 
 
-def _merge(stmt: _Statement, toks: list[Token], offs: list[int], i: int, kind, which) -> None:
-    """Fuse toks[i] and toks[i+1] into one token of the given class, whose
-    lexeme runs from the first's start to the second's end in the text."""
-    first = toks[i]
-    end = offs[i + 1] + len(toks[i + 1].lexeme)
-    toks[i:i + 2] = [Token(kind, stmt.text[offs[i]:end], first.line, first.column, which)]
-    del offs[i + 1]
+# The token class of a keyword, by its `which`; any other keyword is a
+# control keyword, and `which` None (END DO) leaves an identifier.
+_KEYWORD_KINDS = {
+    **dict.fromkeys(DATA_TYPE_WORDS.values(), TokenKind.DATA_TYPE_KEYWORD),
+    **dict.fromkeys(("READ", "WRITE", "FORMAT"), TokenKind.READ_WRITE_KEYWORD),
+    "OPEN": TokenKind.FILE_OP_KEYWORD, "CLOSE": TokenKind.FILE_OP_KEYWORD, None: TokenKind.IDENTIFIER,
+}
+
+# The keyword each two-word spelling stands for.  No ENDDO keyword exists;
+# the parser recognizes a merged END DO by its text.
+_TWO_WORDS = {("DOUBLE", "PRECISION"): "DOUBLE_PRECISION", ("GO", "TO"): "GOTO",
+              ("END", "IF"): "ENDIF", ("END", "DO"): None}
+
+# Leading words that are keywords when a name follows them.
+_NAME_LED = {"PROGRAM", "SUBROUTINE", "FUNCTION"}
+
+
+def _keyword(toks: list[Token], i: int, which: str | None, lexeme: str | None = None) -> None:
+    """Make toks[i] the keyword `which`, with its own lexeme unless given one."""
+    tok = toks[i]
+    toks[i] = Token(_KEYWORD_KINDS.get(which, TokenKind.CONTROL_KEYWORD),
+                    lexeme or tok.lexeme, tok.line, tok.column, which)
+
+
+def _condition(toks: list[Token], i: int) -> int | None:
+    """Index of the ')' closing the IF condition whose '(' is toks[i], or
+    None; a THEN that ends the statement after it becomes a keyword."""
+    close = _match_paren(toks, i) if _punct_at(toks, i) == "LPAREN" else None
+    if close is not None and close + 2 == len(toks) and _word_at(toks, close + 1) == "THEN":
+        _keyword(toks, close + 1, "THEN")
+    return close
 
 
 def _classify_leading(stmt: _Statement, toks: list[Token], offs: list[int], i: int) -> None:
+    """Classify the statement that starts at toks[i] in one pass: its keywords,
+    a FORMAT's body as one descriptor-text token, a READ/WRITE's quoted format
+    as descriptor text, and the statement a logical IF guards."""
     w = _word_at(toks, i)
     if w is None:
         return
-    nxt_punct = _punct_at(toks, i + 1)
-    if nxt_punct == "EQUALS":
+    nxt = _punct_at(toks, i + 1)
+    if nxt == "EQUALS":
         return  # assignment: the leading word is a plain identifier
-
-    def set_kw(kind, which, at=i):
-        tok = toks[at]
-        toks[at] = Token(kind, tok.lexeme, tok.line, tok.column, which)
-
-    if w in DATA_TYPE_WORDS or (w == "DOUBLE" and _word_at(toks, i + 1) == "PRECISION"):
-        if w == "DOUBLE":
-            _merge(stmt, toks, offs, i, TokenKind.DATA_TYPE_KEYWORD, "DOUBLE_PRECISION")
-        else:
-            set_kw(TokenKind.DATA_TYPE_KEYWORD, DATA_TYPE_WORDS[w])
+    if w in ("DOUBLE", "GO", "END") and (w, _word_at(toks, i + 1)) in _TWO_WORDS:
+        which = _TWO_WORDS[w, _word_at(toks, i + 1)]
+        end = offs[i + 1] + len(toks[i + 1].lexeme)
+        del toks[i + 1], offs[i + 1]
+        _keyword(toks, i, which, stmt.text[offs[i]:end])
+        if which != "DOUBLE_PRECISION":
+            return
+        w = "DOUBLEPRECISION"
+    if w in DATA_TYPE_WORDS:
+        _keyword(toks, i, DATA_TYPE_WORDS[w])
         if _word_at(toks, i + 1) == "FUNCTION" and _word_at(toks, i + 2):
-            set_kw(TokenKind.CONTROL_KEYWORD, "FUNCTION", i + 1)
-    elif w in ("READ", "WRITE"):
-        if nxt_punct == "LPAREN":
-            close = _match_paren(toks, i + 1)
-            if close is not None and _punct_at(toks, close + 1) == "EQUALS":
-                return  # assignment to an array named READ/WRITE
-            set_kw(TokenKind.READ_WRITE_KEYWORD, w)
-        elif nxt_punct == "ASTERISK":
-            set_kw(TokenKind.READ_WRITE_KEYWORD, w)
+            _keyword(toks, i + 1, "FUNCTION")
+    elif w == "READ" or w == "WRITE":
+        close = _match_paren(toks, i + 1) if nxt == "LPAREN" else None
+        if close is not None and _punct_at(toks, close + 1) == "EQUALS":
+            return  # assignment to an array named READ/WRITE
+        if nxt == "ASTERISK" or nxt == "LPAREN":
+            _keyword(toks, i, w)
+        # A quoted format, second positional or FMT=, is descriptor text.
+        after = i + 1  # index of the ',' or ')' after each control-list item
+        for idx, part in enumerate(_split_commas(toks[i + 2:close]) if close is not None else ()):
+            after += len(part) + 1
+            if part and part[-1].kind is TokenKind.STRING_LITERAL and (
+                (idx == 1 and len(part) == 1)
+                or (len(part) == 3 and _word_at(part, 0) == "FMT" and _punct_at(part, 1) == "EQUALS")
+            ):
+                toks[after - 1] = toks[after - 1]._replace(kind=TokenKind.FORMAT_DESCRIPTOR_TEXT)
     elif w == "FORMAT":
-        if stmt.label is not None and nxt_punct == "LPAREN":
-            set_kw(TokenKind.READ_WRITE_KEYWORD, "FORMAT")
-    elif w in FILE_OP_WORDS:
-        if nxt_punct == "LPAREN":
-            set_kw(TokenKind.FILE_OP_KEYWORD, w)
-    elif w == "PARAMETER":
-        if nxt_punct == "LPAREN":
-            set_kw(TokenKind.CONTROL_KEYWORD, "PARAMETER")
-    elif w == "CONTINUE":
-        set_kw(TokenKind.CONTROL_KEYWORD, "CONTINUE")
-    elif w == "GOTO":
-        set_kw(TokenKind.CONTROL_KEYWORD, "GOTO")
-    elif w == "GO" and _word_at(toks, i + 1) == "TO":
-        _merge(stmt, toks, offs, i, TokenKind.CONTROL_KEYWORD, "GOTO")
-    elif w in ("PROGRAM", "SUBROUTINE"):
-        if _word_at(toks, i + 1):
-            set_kw(TokenKind.CONTROL_KEYWORD, w)
-    elif w == "FUNCTION":
-        if _word_at(toks, i + 1):
-            set_kw(TokenKind.CONTROL_KEYWORD, "FUNCTION")
-    elif w == "END":
-        nw = _word_at(toks, i + 1)
-        if nw == "IF":
-            _merge(stmt, toks, offs, i, TokenKind.CONTROL_KEYWORD, "ENDIF")
-        elif nw == "DO":
-            # No ENDDO keyword class exists; the parser recognizes the
-            # merged identifier by its text.
-            _merge(stmt, toks, offs, i, TokenKind.IDENTIFIER, None)
-        elif nw in ("PROGRAM", "SUBROUTINE", "FUNCTION") or len(toks) == i + 1:
-            set_kw(TokenKind.CONTROL_KEYWORD, "END")
-    elif w == "ENDIF":
-        if len(toks) == i + 1:
-            set_kw(TokenKind.CONTROL_KEYWORD, "ENDIF")
-    elif w == "ELSE" or w == "ELSEIF":
-        set_kw(TokenKind.CONTROL_KEYWORD, "ELSE")
-        if w == "ELSEIF" or _word_at(toks, i + 1) == "IF":
-            j = i + 1 if w == "ELSEIF" else i + 2
-            if w != "ELSEIF":
-                set_kw(TokenKind.CONTROL_KEYWORD, "IF", i + 1)
-            if _punct_at(toks, j) == "LPAREN":
-                close = _match_paren(toks, j)
-                if close is not None and _word_at(toks, close + 1) == "THEN" and close + 2 == len(toks):
-                    set_kw(TokenKind.CONTROL_KEYWORD, "THEN", close + 1)
-    elif w == "IF":
-        if nxt_punct == "LPAREN":
+        if stmt.label is not None and nxt == "LPAREN":
+            _keyword(toks, i, "FORMAT")
             close = _match_paren(toks, i + 1)
             if close is None:
-                return
-            set_kw(TokenKind.CONTROL_KEYWORD, "IF")
-            if _word_at(toks, close + 1) == "THEN" and close + 2 == len(toks):
-                set_kw(TokenKind.CONTROL_KEYWORD, "THEN", close + 1)
-            else:
-                # Logical IF: the remainder is itself a statement.
-                _classify_leading(stmt, toks, offs, close + 1)
+                raise LexError(toks[i + 1].line, toks[i + 1].column, "unbalanced parentheses in FORMAT statement")
+            start, end = offs[i + 1] + 1, offs[close]
+            if end > start:  # the body between the parentheses becomes one token
+                body = Token(TokenKind.FORMAT_DESCRIPTOR_TEXT, stmt.text[start:end], *stmt.position(start))
+                toks[i + 2:close] = [body]
+    elif w == "OPEN" or w == "CLOSE" or w == "PARAMETER":
+        if nxt == "LPAREN":
+            _keyword(toks, i, w)
+    elif w == "CONTINUE" or w == "GOTO":
+        _keyword(toks, i, w)
+    elif w in _NAME_LED:
+        if _word_at(toks, i + 1):
+            _keyword(toks, i, w)
+    elif w == "END" or w == "ENDIF":
+        if len(toks) == i + 1 or w == "END" and _word_at(toks, i + 1) in _NAME_LED:
+            _keyword(toks, i, w)
+    elif w == "ELSE" or w == "ELSEIF":
+        _keyword(toks, i, "ELSE")
+        if w == "ELSEIF":
+            _condition(toks, i + 1)
+        elif _word_at(toks, i + 1) == "IF":
+            _keyword(toks, i + 1, "IF")
+            _condition(toks, i + 2)
+    elif w == "IF":
+        close = _condition(toks, i + 1)
+        if close is not None:
+            _keyword(toks, i, "IF")
+            # Logical IF: the rest is itself a statement.  A THEN that
+            # _condition made a keyword is no word, so nothing follows.
+            _classify_leading(stmt, toks, offs, close + 1)
     elif w == "DO":
         k = i + 1
         if k < len(toks) and toks[k].kind is TokenKind.INTEGER_CONSTANT:
             k += 1
         if _word_at(toks, k) and _punct_at(toks, k + 1) == "EQUALS":
-            set_kw(TokenKind.CONTROL_KEYWORD, "DO")
-
-
-def _collapse_format_text(stmt: _Statement, toks: list[Token], offs: list[int]) -> None:
-    """Replace a FORMAT statement's parenthesized body with one verbatim token."""
-    if not toks or toks[0].kind is not TokenKind.READ_WRITE_KEYWORD or toks[0].which != "FORMAT":
-        return
-    if _punct_at(toks, 1) != "LPAREN":
-        return
-    close = _match_paren(toks, 1)
-    if close is None:
-        raise LexError(toks[1].line, toks[1].column, "unbalanced parentheses in FORMAT statement")
-    start, end = offs[1] + 1, offs[close]
-    fdt = Token(TokenKind.FORMAT_DESCRIPTOR_TEXT, stmt.text[start:end], *stmt.position(start))
-    toks[2:close] = [fdt] if end > start else []
-
-
-def _reclassify_inline_formats(toks: list[Token]) -> None:
-    """Mark a quoted format inside a READ/WRITE control list as descriptor text."""
-    if not toks or toks[0].kind is not TokenKind.READ_WRITE_KEYWORD:
-        return
-    if toks[0].which not in ("READ", "WRITE") or _punct_at(toks, 1) != "LPAREN":
-        return
-    close = _match_paren(toks, 1)
-    if close is None:
-        return
-    after = 1  # index in toks of the ',' or ')' after each control-list item; '(' at first
-    for idx, part in enumerate(_split_commas(toks[2:close])):
-        after += len(part) + 1
-        if part and part[-1].kind is TokenKind.STRING_LITERAL and (
-            (idx == 1 and len(part) == 1)
-            or (len(part) == 3 and _word_at(part, 0) == "FMT" and _punct_at(part, 1) == "EQUALS")
-        ):
-            toks[after - 1] = toks[after - 1]._replace(kind=TokenKind.FORMAT_DESCRIPTOR_TEXT)
+            _keyword(toks, i, "DO")
 
 
 def tokenize(unit: SourceUnit) -> list[Token]:
@@ -511,8 +488,6 @@ def tokenize(unit: SourceUnit) -> list[Token]:
         if not toks and stmt.label is None:
             continue
         _classify_leading(stmt, toks, offs, 0)
-        _collapse_format_text(stmt, toks, offs)
-        _reclassify_inline_formats(toks)
         if stmt.label is not None:
             out.append(stmt.label)
         out += toks

@@ -372,14 +372,11 @@ def _parse_decl(toks: list[Token], line: int, label: int | None) -> DeclStmt:
         if j != len(part):
             raise ParseError(line, f"unexpected tokens after declaration of {name}")
         entities.append(DeclEntity(name, dims, entity_len))
-    if not entities:
-        raise ParseError(line, "declaration without entities")
     return DeclStmt(base, char_len, entities, label, line=line)
 
 
 def _parse_parameter(toks: list[Token], line: int, label: int | None) -> ParameterStmt:
-    if _punct_at(toks, 1) != "LPAREN":
-        raise ParseError(line, "malformed PARAMETER statement")
+    # The lexer makes PARAMETER a keyword only when a '(' follows it.
     close = _match_paren(toks, 1)
     if close is None or close != len(toks) - 1:
         raise ParseError(line, "unbalanced parentheses in PARAMETER")
@@ -394,8 +391,6 @@ def _parse_parameter(toks: list[Token], line: int, label: int | None) -> Paramet
         name = part[0].lexeme
         value = _parse_param_value(part[2:], line)
         assignments.append((name, value))
-    if not assignments:
-        raise ParseError(line, "empty PARAMETER statement")
     return ParameterStmt(assignments, label, line=line)
 
 
@@ -542,10 +537,9 @@ def _parse_io_items(toks: list[Token], line: int) -> list[IoItem]:
 
 
 def _parse_format_stmt(toks: list[Token], line: int, label: int | None) -> FormatStmt:
-    if label is None:
-        raise ParseError(line, "FORMAT statement without a statement label")
+    # The lexer makes FORMAT a keyword only in a labelled statement, before a '('.
     body = toks[2:-1]
-    if _punct_at(toks, 1) != "LPAREN" or toks[-1].which != "RPAREN":
+    if toks[-1].which != "RPAREN":
         raise ParseError(line, "malformed FORMAT statement")
     if len(body) == 0:
         text = ""
@@ -557,16 +551,13 @@ def _parse_format_stmt(toks: list[Token], line: int, label: int | None) -> Forma
 
 
 def _parse_do_header(toks: list[Token], line: int, own_label: int | None) -> DoStmt:
+    # The lexer makes DO a keyword only in `DO [label] name =`.
     i = 1
     terminal: int | None = None
-    if i < len(toks) and toks[i].kind is TokenKind.INTEGER_CONSTANT:
+    if toks[i].kind is TokenKind.INTEGER_CONSTANT:
         terminal = int(toks[i].lexeme)
         i += 1
-    if i >= len(toks) or toks[i].kind is not TokenKind.IDENTIFIER:
-        raise ParseError(line, "malformed DO statement")
     var = toks[i].lexeme
-    if _punct_at(toks, i + 1) != "EQUALS":
-        raise ParseError(line, "malformed DO statement")
     parts = _split_commas(toks[i + 2:])
     if len(parts) not in (2, 3) or not all(parts):
         raise ParseError(line, "DO statement needs start and stop bounds")

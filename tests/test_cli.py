@@ -194,6 +194,41 @@ def test_errors_name_file_line_and_column(tmp_path, capsys, name, source, locati
     assert capsys.readouterr().err == f"{path}{location}: error: {message}\n"
 
 
+# Each parse error a source can reach, as the column of the statement's first
+# token and the message.  Statements the lexer does not classify as the
+# statement their first word names never reach a statement parser; see
+# test_syntax.test_statement_forms.
+@pytest.mark.parametrize("source, column, message", [
+    ("integer*", 1, "malformed INTEGER length specifier"),
+    ("integer 3", 1, "malformed declaration entity"),
+    ("integer k(3", 1, "unbalanced dimensions for k"),
+    ("integer k*", 1, "malformed length for k"),
+    ("integer k l", 1, "unexpected tokens after declaration of k"),
+    ("integer k()", 1, "missing expression"),
+    ("parameter (n=1", 1, "unbalanced parentheses in PARAMETER"),
+    ("parameter (n)", 1, "malformed PARAMETER assignment"),
+    ("open (10", 1, "malformed OPEN statement"),
+    ("open (file='a')", 1, "OPEN without a unit"),
+    ("open (10) x", 1, "unexpected tokens after OPEN"),
+    ("open (10, file=1+2)", 1, "malformed FILE= specifier"),
+    ("open (10, status=x)", 1, "malformed STATUS= specifier"),
+    ("close (status='x')", 1, "CLOSE without a unit"),
+    ("read (5, 0) k", 1, "format label must be positive"),
+    ("read (5, 1+2) k", 1, "unsupported format specifier"),
+    ("write (6,*) ,", 1, "empty I/O list item"),
+    ("write (6,*) k l", 1, "malformed I/O item k"),
+    ("write (6,*) k(1", 1, "malformed I/O item k"),
+    ("write (6,*) 1+2", 1, "malformed I/O item list"),
+    ("10 format (i4) x", 4, "malformed FORMAT statement"),
+    ("do i=1", 1, "DO statement needs start and stop bounds"),
+])
+def test_each_parse_error_names_its_statement(tmp_path, capsys, source, column, message):
+    path = tmp_path / "t.f90"
+    path.write_text(source + "\n")
+    assert run_cli(["parse", str(path), "--dialect", "free", "-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"{path}:1:{column}: error: {message}\n"
+
+
 def _run_module(args, encoding: str):
     env = dict(os.environ, PYTHONIOENCODING=encoding)
     return subprocess.run(

@@ -5,7 +5,8 @@ terminated loops sharing one terminal label, a labelled DO ended by a
 labelled END DO, block IF arms and FORMAT statements inside loop bodies.
 The token dumps pin every token's line:col, across fixed-form continuation
 lines, ragged and blank-split labels, the column-72 cut, free-form '&'
-continuations and '!' or '&' inside strings.
+continuations and '!' or '&' inside strings, and every keyword the lexer
+classifies from a statement's leading word.
 The document summary lines are part of the golden, with the output
 directory written as <out>.
 """
@@ -26,6 +27,9 @@ SOURCES = {
     "ampersand": (GOLDEN / "ampersand.f90", "free"),
     # `10 END DO` ends `DO 10` by its label and closes no second loop.
     "labelled_enddo": (GOLDEN / "labelled_enddo.f90", "free"),
+    # Every leading-keyword form the lexer classifies, each logical IF's
+    # statement included; a guarded quoted format is descriptor text.
+    "keywords": (GOLDEN / "keywords.f90", "free"),
 }
 
 

@@ -285,6 +285,20 @@ def test_reversion_note_when_items_outnumber_descriptors():
     assert any(d.kind == "descriptor-arity" for d in event.diagnostics)
 
 
+@pytest.mark.parametrize("fmt, items, unpaired", [
+    ("1X", "K", 1),
+    ("I4,2(1X)", "I, J", 1),
+    ("'HEAD',I4,2(' TAIL')", "I, J, K", 2),
+])
+def test_format_without_data_descriptor_for_an_item_is_named(fmt, items, unpaired):
+    # F77 13.3: a format needs a data edit descriptor for every list item.
+    _, _, events = run_pipeline(f"      WRITE(6,100) {items}\n  100 FORMAT({fmt})\n")
+    event = events[0]
+    assert [i.descriptor for i in event.items][-unpaired:] == [None] * unpaired
+    assert [d.message for d in event.diagnostics if d.kind == "descriptor-arity"] == [
+        f"the format has no data edit descriptor for {unpaired} of {len(event.items)} items"]
+
+
 def test_each_format_text_is_parsed_once(monkeypatch):
     texts = []
 

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fmtderive.lexer import (
@@ -341,3 +341,53 @@ def test_positions_of_continued_statements(dialect, sources, data):
     assert [(t.line, t.column) for t in toks if t.kind is not TokenKind.END_OF_STATEMENT] == where
     # Tokens come in source order, so the last one has the largest line.
     assert [t.line for t in toks] == sorted(t.line for t in toks)
+
+
+# ---------------------------------------------------------------------------
+# A logical IF's statement lexes like the same statement alone
+# ---------------------------------------------------------------------------
+
+_GUARDABLE = [
+    "WRITE(6,'(1X,I4)') K", "WRITE(6,FMT='(I4)') K", "READ(5,'(I4)',ERR=9) K",
+    "WRITE(6,*) K", "READ *, X", "READ(2) = 1", "OPEN(10, FILE='A.DAT')", "CLOSE(10)",
+    "GO TO 30", "GOTO 30", "CONTINUE", "X = 1", "CALL S(X)", "FORMAT(I4, 2X)",
+    "FORMAT(I4", "DOUBLE PRECISION D", "END DO", "END IF", "END", "IF (Y) THEN",
+]
+# Every word the classifier tests for, and constants and punctuation to follow them.
+_VOCABULARY = st.sampled_from([
+    "READ", "WRITE", "FORMAT", "OPEN", "CLOSE", "PARAMETER", "CONTINUE", "IF", "THEN",
+    "ELSE", "ELSEIF", "END", "ENDIF", "DO", "GO", "TO", "GOTO", "DOUBLE", "PRECISION",
+    "DOUBLEPRECISION", "INTEGER", "real", "FUNCTION", "PROGRAM", "SUBROUTINE", "FMT", "X",
+    "10", "'(I4)'", "'A'", "(", ")", "=", ",", "*", "+",
+])
+
+
+def _after_the_guard(statement, label):
+    """The tokens of `label IF (X) statement` after the condition's ')', and
+    those of `label statement` after its label, without their columns; or the
+    message of the LexError each raises."""
+    def lexed(text, skip):
+        try:
+            return [(t.kind, t.lexeme, t.line, t.which, t.value) for t in lex(text, FREE_FORM)[skip:]]
+        except LexError as err:
+            return str(err)
+    skip = 1 if label else 0
+    return lexed(f"{label}IF (X) {statement}", skip + 4), lexed(label + statement, skip)
+
+
+@pytest.mark.parametrize("label", ["", "10 "])
+@pytest.mark.parametrize("statement", _GUARDABLE)
+def test_guarded_statement_lexes_like_the_statement_alone(statement, label):
+    guarded, alone = _after_the_guard(statement, label)
+    assert guarded == alone
+
+
+@settings(max_examples=300, deadline=None)
+@given(words=st.lists(_VOCABULARY, min_size=1, max_size=8), label=st.sampled_from(["", "10 "]))
+def test_any_guarded_statement_lexes_like_the_statement_alone(words, label):
+    # A lone THEN after a condition makes `IF (X) THEN`, a block IF, and an
+    # integer that starts a line is its label.
+    statement = " ".join(words)
+    assume(statement.upper() != "THEN" and not words[0].isdigit())
+    guarded, alone = _after_the_guard(statement, label)
+    assert guarded == alone

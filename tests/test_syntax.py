@@ -184,6 +184,12 @@ WRITE(6,*) X
     ("DO I=1,3\nWRITE(6,*) I\n10 END DO\nWRITE(6,*) J\n",
      [(0, DoStmt, False), (1, IoStmt, False), (1, OtherStmt, False), (0, IoStmt, False)],
      (ANONYMOUS_MAIN, None)),
+    # The lexer makes FORMAT, PARAMETER and DO keywords only in the forms
+    # their parsers take, so these never reach a statement parser.
+    ("FORMAT (I4)\n", [(0, OtherStmt, False)], (ANONYMOUS_MAIN, None)),
+    ("10 IF (X) FORMAT (I4)\n", [(0, OtherStmt, False)], (ANONYMOUS_MAIN, None)),
+    ("PARAMETER X\n", [(0, OtherStmt, False)], (ANONYMOUS_MAIN, None)),
+    ("DO I\n", [(0, OtherStmt, False)], (ANONYMOUS_MAIN, None)),
 ])
 def test_statement_forms(text, shape, unit):
     program = parse_src(text, FREE_FORM)
