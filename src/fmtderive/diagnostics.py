@@ -19,7 +19,7 @@ class AnalysisError(Exception):
         self.column = column
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagnostic:
     """A non-fatal finding carried alongside analysis results.
 

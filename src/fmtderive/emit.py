@@ -22,7 +22,7 @@ from .symbols import build_tables, doc_name, dump_symbols
 from .syntax import ListDirected, attach_formats, dump_ast, expr_text, parse
 
 
-@dataclass
+@dataclass(slots=True)
 class DataFormatDoc:
     file_name: str
     direction: str  # input, output or both
@@ -124,11 +124,13 @@ def process_source(
     out_dir: Path,
     args: argparse.Namespace,
     out=None,
-) -> list[Path]:
+) -> int:
     """Run the full pipeline on one source file and write its documents.
 
     args is the namespace of the parse subcommand: dialect,
-    default_loop_count and the dump flags.
+    default_loop_count and the dump flags.  A document that cannot be written
+    is reported on stderr and the others are still written; returns how many
+    could not be.
     """
     if out is None:
         out = sys.stdout
@@ -144,6 +146,7 @@ def process_source(
         for tok in tokens:
             say(f"{tok.line}:{tok.column} {describe_token(tok)} {tok.lexeme}")
     program = parse(tokens)
+    del tokens  # the flat list is most of the front end's memory; parse is its last reader
     if args.dump_ast:
         say(dump_ast(program))
     formats = attach_formats(program)
@@ -154,14 +157,18 @@ def process_source(
     if args.dump_events:
         say(dump_events(events))
 
-    written = []
+    failed = 0
     for doc in build_docs(events):
         target = out_dir / _doc_file_name(doc.file_name)
-        # Non-ASCII text from a Latin-1 source becomes character references.
-        target.write_text(serialize(doc), encoding="ascii", errors="xmlcharrefreplace")
+        try:
+            # Non-ASCII text from a Latin-1 source becomes character references.
+            target.write_text(serialize(doc), encoding="ascii", errors="xmlcharrefreplace")
+        except OSError as err:
+            _error(f"cannot write {target}: {err.strerror or err}", path)
+            failed += 1
+            continue
         say(f"{doc.file_name}: {doc.direction}, {len(doc.groups)} group(s) -> {target}")
-        written.append(target)
-    return written
+    return failed
 
 
 def _build_arg_parser() -> argparse.ArgumentParser:
@@ -202,7 +209,7 @@ def _error(message: str, *location) -> None:
 
 
 def run_cli(argv: list[str] | None = None) -> int:
-    """Entry point; returns 0 on success, 1 on analysis errors, 2 on usage."""
+    """Entry point; returns 0 on success, 1 on analysis or write errors, 2 on usage."""
     parser = _build_arg_parser()
     try:
         args = parser.parse_args(argv)
@@ -235,7 +242,8 @@ def run_cli(argv: list[str] | None = None) -> int:
             status = 1
             continue
         try:
-            process_source(source, text, out_dir, args)
+            if process_source(source, text, out_dir, args):
+                status = 1
         except AnalysisError as err:
             _error(err.message, source, err.line, err.column)
             status = 1

@@ -27,44 +27,44 @@ class DescriptorError(AnalysisError):
         self.position = position
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PositionX:
     count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntEdit:
     width: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FixedEdit:
     width: int
     frac: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpEdit:
     width: int
     frac: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CharEdit:
     width: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LiteralText:
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecordBreak:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Group:
     repeat: int
     children: tuple["EditDescriptor", ...]
@@ -74,7 +74,7 @@ class Group:
             raise ValueError("a group repeats at least once")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Repeated:
     repeat: int
     single: "EditDescriptor"
@@ -106,7 +106,7 @@ class LayoutKind(enum.Enum):
     LITERAL = "literal"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LayoutItem:
     kind: LayoutKind
     width: int
@@ -115,7 +115,7 @@ class LayoutItem:
     end_column: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Layout:
     items: tuple[LayoutItem, ...]
     record_width: int

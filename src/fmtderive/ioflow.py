@@ -28,7 +28,7 @@ class MissingFormatLabel(AnalysisError):
         self.label = label
 
 
-@dataclass
+@dataclass(slots=True)
 class UnitBinding:
     unit: int | str
     file_name: str
@@ -38,7 +38,7 @@ class UnitBinding:
     diagnostics: tuple[Diagnostic, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Multiplicity:
     count: IntExpr  # the trip-count product
     resolved: int
@@ -46,7 +46,7 @@ class Multiplicity:
     defaulted: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventItem:
     name: str
     data_type: DataType
@@ -54,7 +54,7 @@ class EventItem:
     separators: tuple[EditDescriptor, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IoEvent:
     direction: str  # READ or WRITE
     binding: UnitBinding

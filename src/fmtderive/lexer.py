@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import re
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
@@ -30,7 +31,7 @@ class LexError(AnalysisError):
         super().__init__(message, line, column)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceUnit:
     """One source file queued for analysis."""
 
@@ -299,7 +300,7 @@ def _scan_raw(stmt: _Statement) -> tuple[list[Token], list[int]]:
             line, column = starts[k]
             shift = column - offsets[k]
             nxt = offsets[k + 1] if k + 1 < len(offsets) else len(text)
-        lexeme = match[group]
+        lexeme = sys.intern(match[group])  # repeated names and numbers share one string
         kind = _RAW_KINDS[group]
         if kind is TokenKind.PUNCTUATION:
             which = PUNCT_NAMES.get(lexeme, PUNCT_OTHER)

@@ -17,7 +17,7 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DataType:
     name: str  # INTEGER, REAL, DOUBLE_PRECISION, CHARACTER, LOGICAL, COMPLEX
     char_len: int | None = None
@@ -49,7 +49,7 @@ def doc_name(data_type: DataType) -> str:
     return _DOC_NAMES[data_type.name]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unresolved:
     """A constant expression that could not be reduced to an integer."""
 
@@ -74,7 +74,7 @@ class UndeclaredName(AnalysisError):
         self.name = name
 
 
-@dataclass
+@dataclass(slots=True)
 class VariableEntry:
     name: str  # case-folded
     data_type: DataType
@@ -82,7 +82,7 @@ class VariableEntry:
     process: str
 
 
-@dataclass
+@dataclass(slots=True)
 class ConstantEntry:
     name: str  # case-folded
     data_type: DataType
@@ -90,13 +90,13 @@ class ConstantEntry:
     note: Diagnostic | None = None  # why the value is Unresolved
 
 
-@dataclass
+@dataclass(slots=True)
 class ProcessEntry:
     name: str
     kind: str
 
 
-@dataclass
+@dataclass(slots=True)
 class SymbolTables:
     """Variables and constants are keyed by their case-folded name."""
 

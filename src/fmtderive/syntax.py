@@ -34,24 +34,24 @@ class DuplicateFormatLabel(AnalysisError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymbolRef:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinOp:
     op: str  # + - * or /
     left: "IntExpr"
     right: "IntExpr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Neg:
     operand: "IntExpr"
 
@@ -84,7 +84,7 @@ def expr_text(expr: IntExpr, context: int = 0) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StarUnit:
     """The '*' unit: stdin for READ, stdout for WRITE."""
 
@@ -92,17 +92,17 @@ class StarUnit:
 UnitSpec = IntExpr | StarUnit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ListDirected:
     """Format '*': fields separated by default separators."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Label:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Inline:
     descriptor_text: str
 
@@ -110,21 +110,21 @@ class Inline:
 FormatRef = ListDirected | Label | Inline
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeclEntity:
     name: str
     dimensions: tuple[IntExpr, ...] = ()
     char_len: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IoItem:
     name: str
     subscripts: tuple[IntExpr, ...] = ()
     literal: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class DeclStmt:
     base_type: str  # INTEGER, REAL, DOUBLE_PRECISION, CHARACTER, LOGICAL, COMPLEX
     char_len: int | None
@@ -133,7 +133,7 @@ class DeclStmt:
     line: int = field(default=0, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class ParameterStmt:
     # value is a Python int/float/str literal, or an IntExpr to be evaluated
     # against the constant table when the tables are built.
@@ -142,7 +142,7 @@ class ParameterStmt:
     line: int = field(default=0, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class OpenStmt:
     unit: IntExpr
     file_name: str | None = None
@@ -152,14 +152,14 @@ class OpenStmt:
     line: int = field(default=0, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class CloseStmt:
     unit: IntExpr
     label: int | None = None
     line: int = field(default=0, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class IoStmt:
     direction: str  # READ or WRITE
     unit: UnitSpec
@@ -170,14 +170,14 @@ class IoStmt:
     line: int = field(default=0, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class FormatStmt:
     label: int
     descriptor_text: str
     line: int = field(default=0, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class DoStmt:
     label: int | None  # terminal statement label; None for END DO loops
     var: str
@@ -190,13 +190,13 @@ class DoStmt:
     column: int = field(default=0, compare=False)  # of the DO keyword
 
 
-@dataclass
+@dataclass(slots=True)
 class ContinueStmt:
     label: int | None = None
     line: int = field(default=0, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class OtherStmt:
     raw: str
     label: int | None = None
@@ -211,7 +211,7 @@ Stmt = (
 ANONYMOUS_MAIN = "anonymous-main"
 
 
-@dataclass
+@dataclass(slots=True)
 class ProgramUnit:
     name: str | None
     kind: str  # PROGRAM, SUBROUTINE, FUNCTION or anonymous-main

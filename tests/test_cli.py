@@ -1,3 +1,4 @@
+import errno
 import os
 import subprocess
 import sys
@@ -279,6 +280,27 @@ def test_summary_lines_survive_an_ascii_stdout(tmp_path):
     assert "CAF\\xc9.DAT: output, 1 group(s)" in result.stdout
     assert (out / "CAF\u00c9.DAT.format.xml").exists()
     assert (out / "stdout.format.xml").exists()
+
+
+def test_unwritable_document_is_reported_and_the_run_goes_on(model_file, tmp_path, capsys):
+    # A document name longer than common file systems allow (255 bytes), then one that fits.
+    long_name = "L" * 300
+    src = tmp_path / "long.f90"
+    src.write_text(
+        f"open(8, file='{long_name}')\nwrite(8,*) k\n"
+        "open(9, file='SHORT.DAT')\nwrite(9,*) k\nend\n")
+    out = tmp_path / "out"
+    argv = ["parse", "--dialect", "free", str(src), str(model_file), "-o", str(out)]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    target = out / f"{long_name}.format.xml"
+    assert captured.err == (
+        f"{src}: error: cannot write {target}: {os.strerror(errno.ENAMETOOLONG)}\n")
+    assert long_name not in captured.out
+    # The source's other document and the later source's documents are written.
+    assert sorted(p.name for p in out.iterdir()) == [
+        "Basic.TXT.format.xml", "ODTIME.PRN.format.xml", "SHORT.DAT.format.xml",
+    ]
 
 
 def test_negative_default_loop_count_is_usage_error(tmp_path, capsys):

@@ -1,12 +1,18 @@
+import dataclasses
+import importlib
+import pkgutil
 import re
+import weakref
 from xml.dom import minidom
 from xml.sax.saxutils import escape
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fmtderive
+from fmtderive import emit
 from fmtderive.diagnostics import Diagnostic
-from fmtderive.emit import DataFormatDoc, build_docs, serialize
+from fmtderive.emit import DataFormatDoc, build_docs, run_cli, serialize
 from fmtderive.fmtengine import (
     CharEdit, ExpEdit, FixedEdit, IntEdit, LiteralText, PositionX,
 )
@@ -14,7 +20,7 @@ from fmtderive.ioflow import EventItem, IoEvent, Multiplicity, UnitBinding
 from fmtderive.symbols import DOUBLE_PRECISION, INTEGER, REAL, character
 from fmtderive.syntax import BinOp, Inline, Label, ListDirected, Literal, SymbolRef, expr_text
 
-from conftest import run_pipeline
+from conftest import MODEL_SOURCE, run_pipeline
 
 _ATTR_VALUE = r"(?:[^\"<>&]|&(?:amp|lt|gt|quot);)*"
 _TAG = re.compile(
@@ -361,3 +367,57 @@ def test_separator_runs_serialize_one_line_per_separator(drawn):
     zero_lines = dict.fromkeys(
         e.source_line for e, _ in drawn if e.items and e.multiplicity.resolved == 0)
     assert _NOTE.findall(text) == [("zero-multiplicity", str(line)) for line in zero_lines]
+
+
+# ---------------------------------------------------------------------------
+# Pipeline memory
+# ---------------------------------------------------------------------------
+
+
+class _TokenList(list):
+    """A token list that can be weakly referenced, which a plain list cannot."""
+
+
+def test_token_list_is_released_before_analysis(monkeypatch, tmp_path):
+    tokenize, analyze = emit.tokenize, emit.analyze
+    lists = []  # a weak reference to each token list tokenize returned
+    released = []  # at each analyze call, whether the last list was freed
+
+    def tracked_tokenize(unit):
+        tokens = _TokenList(tokenize(unit))
+        lists.append(weakref.ref(tokens))
+        return tokens
+
+    def checked_analyze(*args, **kwargs):
+        released.append(lists[-1]() is None)
+        return analyze(*args, **kwargs)
+
+    monkeypatch.setattr(emit, "tokenize", tracked_tokenize)
+    monkeypatch.setattr(emit, "analyze", checked_analyze)
+    src = tmp_path / "model.f"
+    src.write_text(MODEL_SOURCE)
+    assert run_cli(["parse", str(src), "-o", str(tmp_path / "out")]) == 0
+    assert len(lists) == 1
+    assert released == [True]
+
+
+def test_every_dataclass_declares_slots():
+    """Node types carry no per-instance dict.  Every dataclass in the
+    package's modules is checked, so a type added later is covered too."""
+    modules = [
+        importlib.import_module(f"fmtderive.{info.name}")
+        for info in pkgutil.iter_modules(fmtderive.__path__)
+        if not info.name.startswith("__")
+    ]
+    classes = [
+        obj for module in modules for obj in vars(module).values()
+        if isinstance(obj, type) and obj.__module__ == module.__name__
+        and dataclasses.is_dataclass(obj)
+    ]
+    assert len(classes) >= 44
+    unslotted = [
+        f"{cls.__module__}.{cls.__qualname__}" for cls in classes
+        if "__slots__" not in vars(cls)
+        or any("__dict__" in vars(base) for base in cls.__mro__)
+    ]
+    assert unslotted == []
