@@ -11,9 +11,7 @@ from .fmtengine import (
 from .ioflow import (
     IoEvent, Multiplicity, UnitBinding, analyze, bind_units, loop_multiplicity,
 )
-from .lexer import (
-    FIXED_FORM, FREE_FORM, LexError, SourceUnit, Token, TokenKind, tokenize,
-)
+from .lexer import FIXED_FORM, FREE_FORM, LexError, Token, TokenKind, tokenize
 from .symbols import (
     DataType, SymbolTables, Unresolved, build_tables, eval_int, implicit_type,
     lookup_type,

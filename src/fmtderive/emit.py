@@ -17,7 +17,7 @@ from .fmtengine import (
     layout_table, parse_descriptors,
 )
 from .ioflow import IoEvent, analyze, dump_events
-from .lexer import FIXED_FORM, FREE_FORM, SourceUnit, describe_token, tokenize
+from .lexer import FIXED_FORM, FREE_FORM, describe_token, tokenize
 from .symbols import build_tables, doc_name, dump_symbols
 from .syntax import ListDirected, attach_formats, dump_ast, expr_text, parse
 
@@ -118,13 +118,7 @@ def _doc_file_name(target: str) -> str:
     return f"{name}.format.xml"
 
 
-def process_source(
-    path: str,
-    text: str,
-    out_dir: Path,
-    args: argparse.Namespace,
-    out=None,
-) -> int:
+def process_source(path: str, text: str, out_dir: Path, args: argparse.Namespace) -> int:
     """Run the full pipeline on one source file and write its documents.
 
     args is the namespace of the parse subcommand: dialect,
@@ -132,16 +126,13 @@ def process_source(
     is reported on stderr and the others are still written; returns how many
     could not be.
     """
-    if out is None:
-        out = sys.stdout
-    encoding = getattr(out, "encoding", None) or "utf-8"
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
 
     def say(text: str) -> None:
-        # Characters the stream cannot encode are written as backslash escapes.
-        print(text.encode(encoding, "backslashreplace").decode(encoding), file=out)
+        # Characters stdout cannot encode are written as backslash escapes.
+        print(text.encode(encoding, "backslashreplace").decode(encoding))
 
-    unit = SourceUnit(path, text, FIXED_FORM if args.dialect == "fixed" else FREE_FORM)
-    tokens = tokenize(unit)
+    tokens = tokenize(text, args.dialect)
     if args.dump_tokens:
         for tok in tokens:
             say(f"{tok.line}:{tok.column} {describe_token(tok)} {tok.lexeme}")
@@ -188,7 +179,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     p_parse = sub.add_parser("parse", help="analyze source files and emit format docs")
     p_parse.add_argument("sources", nargs="+", help="FORTRAN source files")
     p_parse.add_argument("-o", "--output-dir", default=".", help="directory for emitted docs")
-    p_parse.add_argument("--dialect", choices=["fixed", "free"], default="fixed")
+    p_parse.add_argument("--dialect", choices=[FIXED_FORM, FREE_FORM], default=FIXED_FORM)
     p_parse.add_argument("--default-loop-count", type=count, default=1, metavar="N",
                          help="trip count assumed for loops with variable bounds")
     p_parse.add_argument("--dump-tokens", action="store_true")

@@ -122,15 +122,6 @@ class Layout:
     # Indices into items where a new record starts (from slash descriptors).
     record_breaks: tuple[int, ...] = ()
 
-    def records(self) -> list["Layout"]:
-        """Split a multi-record layout into one Layout per record."""
-        bounds = [0, *self.record_breaks, len(self.items)]
-        out = []
-        for lo, hi in zip(bounds, bounds[1:]):
-            items = self.items[lo:hi]
-            out.append(Layout(items, sum(i.width for i in items)))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Parsing
@@ -334,9 +325,9 @@ def _unroll(runs, skip=()) -> list[EditDescriptor]:
 def expand(descriptors: list[EditDescriptor]) -> Layout:
     """Unroll repeat groups into a flat, column-tiled layout.
 
-    Slash descriptors start a new record; record starts are available via
-    Layout.record_breaks and Layout.records().  Raises DescriptorError when
-    the layout would exceed MAX_UNROLLED descriptors.
+    Slash descriptors start a new record; Layout.record_breaks holds the
+    index of the first item of each record after the first.  Raises
+    DescriptorError when the layout would exceed MAX_UNROLLED descriptors.
     """
     if _size(descriptors) > MAX_UNROLLED:
         raise DescriptorError(None, f"the format unrolls to more than {MAX_UNROLLED} descriptors")

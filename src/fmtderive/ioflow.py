@@ -71,7 +71,7 @@ def _unit_key(expr: IntExpr, tables: SymbolTables) -> int | str:
     return number if isinstance(number, int) else expr_text(expr)
 
 
-def bind_units(unit: ProgramUnit, tables: SymbolTables | None = None) -> list[UnitBinding]:
+def bind_units(unit: ProgramUnit, tables: SymbolTables) -> list[UnitBinding]:
     """Derive unit-to-file bindings from OPEN/CLOSE statements, one per OPEN
     in statement order.
 
@@ -79,7 +79,6 @@ def bind_units(unit: ProgramUnit, tables: SymbolTables | None = None) -> list[Un
     at the end of the program are closed at the unit's last line, so live
     ranges never overlap.
     """
-    tables = tables or SymbolTables()
     bindings: list[UnitBinding] = []
     live: dict[int | str, UnitBinding] = {}  # unit -> its open binding
     for stmt, _ in walk(unit.statements):
@@ -189,8 +188,6 @@ def analyze(
 
     # Each distinct format text is parsed once: text -> (descriptors, notes).
     parsed: dict[str, tuple[list[EditDescriptor], list[Diagnostic]]] = {}
-    # Each loop's trip count is built once: id(DoStmt) -> (count, notes).
-    trips: dict[int, tuple[Multiplicity, list[Diagnostic]]] = {}
 
     def synthetic_binding(key: int | str, name: str) -> UnitBinding:
         if name not in synthetic:
@@ -266,9 +263,7 @@ def analyze(
                 stmt.line,
             ))
 
-        for do in loops:
-            notes += trips[id(do)][1]
-        mult = loop_multiplicity([trips[id(do)][0] for do in loops])
+        mult = loop_multiplicity([trip_count(do, tables, default_loop_count, notes) for do in loops])
         if mult.defaulted:
             # F77 11.10 forbids a zero DO increment: name it as the cause.
             zero = next((do for do in loops if do.step is not None and eval_int(tables, do.step) == 0), None)
@@ -292,9 +287,6 @@ def analyze(
         if isinstance(stmt, OpenStmt):
             binding = next(bindings)
             opened[binding.unit] = binding
-        elif isinstance(stmt, DoStmt):
-            loop_notes: list[Diagnostic] = []
-            trips[id(stmt)] = trip_count(stmt, tables, default_loop_count, loop_notes), loop_notes
         elif isinstance(stmt, IoStmt):
             try:
                 events.append(event(stmt, loops))

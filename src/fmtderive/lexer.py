@@ -15,33 +15,17 @@ import enum
 import re
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .diagnostics import AnalysisError
 
-FIXED_FORM = "fixed-form-77"
-FREE_FORM = "free-form"
-
-_DIALECTS = (FIXED_FORM, FREE_FORM)
+FIXED_FORM = "fixed"
+FREE_FORM = "free"
 
 
 class LexError(AnalysisError):
     def __init__(self, line: int, column: int, message: str):
         super().__init__(message, line, column)
-
-
-@dataclass(frozen=True, slots=True)
-class SourceUnit:
-    """One source file queued for analysis."""
-
-    path: str
-    text: str
-    dialect: str = FIXED_FORM
-
-    def __post_init__(self):
-        if self.dialect not in _DIALECTS:
-            raise ValueError(f"unknown dialect {self.dialect!r}")
 
 
 class TokenKind(enum.Enum):
@@ -470,21 +454,24 @@ def _classify_leading(stmt: _Statement, toks: list[Token], offs: list[int], i: i
     elif w == "DO":
         k = i + 1
         if k < len(toks) and toks[k].kind is TokenKind.INTEGER_CONSTANT:
-            k += 1
+            k += 1 + (_punct_at(toks, k + 1) == "COMMA")  # DO s [,] i = (F77 11.10)
         if _word_at(toks, k) and _punct_at(toks, k + 1) == "EQUALS":
             _keyword(toks, i, "DO")
 
 
-def tokenize(unit: SourceUnit) -> list[Token]:
-    """Convert one source unit into a flat token list.
+def tokenize(text: str, dialect: str) -> list[Token]:
+    """Convert one FIXED_FORM or FREE_FORM source text into a flat token list.
 
     Statement boundaries become EndOfStatement tokens; comment lines and
-    blank lines produce nothing.  Raises LexError on characters outside the
-    accepted set and on unterminated string literals.
+    blank lines produce nothing.  Raises ValueError on any other dialect, and
+    LexError on characters outside the accepted set and on unterminated
+    string literals.
     """
-    assemble = _assemble_fixed if unit.dialect == FIXED_FORM else _assemble_free
+    if dialect not in (FIXED_FORM, FREE_FORM):
+        raise ValueError(f"unknown dialect {dialect!r}")
+    assemble = _assemble_fixed if dialect == FIXED_FORM else _assemble_free
     out: list[Token] = []
-    for stmt in assemble(unit.text):
+    for stmt in assemble(text):
         toks, offs = _scan_raw(stmt)
         if not toks and stmt.label is None:
             continue

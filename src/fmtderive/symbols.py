@@ -104,7 +104,6 @@ class SymbolTables:
     variables: dict[str, VariableEntry] = field(default_factory=dict)
     constants: dict[str, ConstantEntry] = field(default_factory=dict)
     implicit_none: bool = False
-    diagnostics: list[Diagnostic] = field(default_factory=list)
 
     def find_variable(self, name: str, process: str | None = None) -> VariableEntry | None:
         entry = self.variables.get(name.upper())
@@ -189,7 +188,6 @@ def build_tables(unit: ProgramUnit) -> SymbolTables:
                             f"constant {raw_name} = {value.text} cannot be resolved",
                             stmt.line,
                         )
-                        tables.diagnostics.append(note)
                 if dtype.name == "INTEGER" and isinstance(value, float):
                     value = int(value)
                 elif dtype.name in ("REAL", "DOUBLE_PRECISION") and isinstance(value, int):
@@ -268,7 +266,7 @@ def dump_symbols(tables: SymbolTables) -> str:
     for c in tables.constants.values():
         value = f"{c.value.text} (unresolved)" if isinstance(c.value, Unresolved) else repr(c.value)
         lines.append(f"  {c.name} = {value}: {doc_name(c.data_type)}")
-    for note in tables.diagnostics:
+    for note in (c.note for c in tables.constants.values() if c.note is not None):
         lines.append(f"{note.kind} at line {note.line}: {note.message}")
     if tables.implicit_none:
         lines.append("implicit none: yes")

@@ -334,27 +334,35 @@ def _operand(toks: list[Token], pos: int, level: int) -> tuple[IntExpr, int]:
 _TYPE_WIDTHS_TO_DOUBLE = {("REAL", 8), ("REAL", 16)}
 
 
+def _star_length(toks: list[Token], i: int, line: int, what: str) -> tuple[int | None, int]:
+    """The length `*n`, `*(n)` or `*(*)` (F77 8.4.2) if one starts at toks[i],
+    and the index after it.  A length that is not an integer literal reads as
+    None, as does no length at all."""
+    if _punct_at(toks, i) != "ASTERISK":
+        return None, i
+    close = _match_paren(toks, i + 1) if _punct_at(toks, i + 1) == "LPAREN" else None
+    if close is not None and close > i + 2:
+        inner = toks[i + 2:close]
+        literal = len(inner) == 1 and inner[0].kind is TokenKind.INTEGER_CONSTANT
+        return (int(inner[0].lexeme) if literal else None), close + 1
+    if i + 1 >= len(toks) or toks[i + 1].kind is not TokenKind.INTEGER_CONSTANT:
+        raise ParseError(line, f"malformed {what}")
+    return int(toks[i + 1].lexeme), i + 2
+
+
 def _parse_decl(toks: list[Token], line: int, label: int | None) -> DeclStmt:
     base = toks[0].which
     assert base is not None
-    char_len: int | None = None
-    i = 1
-    if _punct_at(toks, i) == "ASTERISK":
-        if i + 1 >= len(toks) or toks[i + 1].kind is not TokenKind.INTEGER_CONSTANT:
-            raise ParseError(line, f"malformed {base} length specifier")
-        width = int(toks[i + 1].lexeme)
-        if base == "CHARACTER":
-            char_len = width
-        elif (base, width) in _TYPE_WIDTHS_TO_DOUBLE:
-            base = "DOUBLE_PRECISION"
-        i += 2
+    width, i = _star_length(toks, 1, line, f"{base} length specifier")
+    char_len = width if base == "CHARACTER" else None
+    if (base, width) in _TYPE_WIDTHS_TO_DOUBLE:
+        base = "DOUBLE_PRECISION"
     entities: list[DeclEntity] = []
     for part in _split_commas(toks[i:]):
         if not part or part[0].kind is not TokenKind.IDENTIFIER:
             raise ParseError(line, "malformed declaration entity")
         name = part[0].lexeme
         dims: tuple[IntExpr, ...] = ()
-        entity_len: int | None = None
         j = 1
         if _punct_at(part, j) == "LPAREN":
             close = _match_paren(part, j)
@@ -364,11 +372,7 @@ def _parse_decl(toks: list[Token], line: int, label: int | None) -> DeclStmt:
                 _parse_int_expr(p, line) for p in _split_commas(part[j + 1:close])
             )
             j = close + 1
-        if _punct_at(part, j) == "ASTERISK":
-            if j + 1 >= len(part) or part[j + 1].kind is not TokenKind.INTEGER_CONSTANT:
-                raise ParseError(line, f"malformed length for {name}")
-            entity_len = int(part[j + 1].lexeme)
-            j += 2
+        entity_len, j = _star_length(part, j, line, f"length for {name}")
         if j != len(part):
             raise ParseError(line, f"unexpected tokens after declaration of {name}")
         entities.append(DeclEntity(name, dims, entity_len))
@@ -551,12 +555,12 @@ def _parse_format_stmt(toks: list[Token], line: int, label: int | None) -> Forma
 
 
 def _parse_do_header(toks: list[Token], line: int, own_label: int | None) -> DoStmt:
-    # The lexer makes DO a keyword only in `DO [label] name =`.
+    # The lexer makes DO a keyword only in `DO [label [,]] name =`.
     i = 1
     terminal: int | None = None
     if toks[i].kind is TokenKind.INTEGER_CONSTANT:
         terminal = int(toks[i].lexeme)
-        i += 1
+        i += 1 + (_punct_at(toks, i + 1) == "COMMA")
     var = toks[i].lexeme
     parts = _split_commas(toks[i + 2:])
     if len(parts) not in (2, 3) or not all(parts):

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from fmtderive.ioflow import analyze
-from fmtderive.lexer import FIXED_FORM, SourceUnit, tokenize
+from fmtderive.lexer import FIXED_FORM, tokenize
 from fmtderive.symbols import build_tables
 from fmtderive.syntax import attach_formats, parse
 
@@ -64,8 +64,7 @@ TOLERANT_SOURCE = """\
 
 def run_pipeline(source: str, dialect: str = FIXED_FORM, default_loop_count: int = 1):
     """tokenize -> parse -> tables -> events for a source string."""
-    unit = SourceUnit("<test>", source, dialect)
-    program = parse(tokenize(unit))
+    program = parse(tokenize(source, dialect))
     tables = build_tables(program)
     formats = attach_formats(program)
     events = analyze(program, tables, formats, default_loop_count)
@@ -95,8 +94,7 @@ def tolerant_source() -> str:
 
 @pytest.fixture
 def model_program(model_source):
-    unit = SourceUnit("model.f", model_source)
-    return parse(tokenize(unit))
+    return parse(tokenize(model_source, FIXED_FORM))
 
 
 # ---------------------------------------------------------------------------

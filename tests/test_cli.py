@@ -1,14 +1,21 @@
+import ast
 import errno
+import json
 import os
+import re
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 from xml.dom import minidom
 
 import pytest
 
 from fmtderive.emit import run_cli
 
-from conftest import MODEL_SOURCE, run_limited
+from conftest import MODEL_SOURCE, TOLERANT_SOURCE, run_limited
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -360,3 +367,79 @@ def test_separator_cap_fails_cleanly_under_a_memory_limit(tmp_path):
         "from fmtderive.emit import main\nmain()\n", "parse", str(src), "-o", str(tmp_path / "out"))
     assert (result.returncode, result.stderr) == (
         1, f"{src}:2: error: 1000000000 separators in one transfer exceed the limit of 1000000\n")
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic checks: two spellings of one statement give the same output.
+# ---------------------------------------------------------------------------
+
+
+def _parse_outputs(tmp_path, capsys, source, *flags):
+    """The documents, by name, and the stdout of one `parse` run on a fixed-form
+    source; every run writes to the same place, so the summary lines agree."""
+    src, out = tmp_path / "model.f", tmp_path / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    src.write_text(source)
+    assert run_cli(["parse", str(src), "-o", str(out), *flags]) == 0
+    docs = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    return docs, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("source", [MODEL_SOURCE, TOLERANT_SOURCE])
+def test_comma_after_do_label_changes_nothing(tmp_path, capsys, source):
+    # F77 11.10: DO s [,] i = e1, e2 [, e3].
+    comma, loops = re.subn(r"\bDO (\d+) ", r"DO \1, ", source)
+    assert loops > 0
+    flags = ("--dump-ast", "--dump-events")
+    assert _parse_outputs(tmp_path, capsys, comma, *flags) == _parse_outputs(tmp_path, capsys, source, *flags)
+
+
+@pytest.mark.parametrize("parenthesised, plain", [
+    ("CHARACTER*(8) NAME, TAG*(4), CODE(3)*(2)", "CHARACTER*8 NAME, TAG*4, CODE(3)*2"),
+    ("CHARACTER*(*) NAME, TAG*(N), CODE(3)*(2*N)", "CHARACTER NAME, TAG, CODE(3)"),
+])
+def test_parenthesised_character_length_changes_nothing(tmp_path, capsys, parenthesised, plain):
+    # F77 8.4.2: a length is n, (n) or (*); one that is not an integer literal records none.
+    body = (
+        "      PARAMETER (N=2)\n"
+        "      {}\n"
+        "      OPEN(3, FILE='NAMES.TXT')\n"
+        "      WRITE(3,100) NAME, TAG, CODE\n"
+        "  100 FORMAT(A8,1X,A4,3A2)\n"
+        "      READ(3,*) NAME\n"
+        "      END\n"
+    )
+    flags = ("--dump-symbols", "--dump-ast")
+    expected = _parse_outputs(tmp_path, capsys, body.format(plain), *flags)
+    assert _parse_outputs(tmp_path, capsys, body.format(parenthesised), *flags) == expected
+
+
+# ---------------------------------------------------------------------------
+# The benchmark's stage seam
+# ---------------------------------------------------------------------------
+
+
+def test_bench_trace_spans_every_stage(tmp_path):
+    """bench/child.py wraps the stage functions emit.process_source calls; a
+    renamed or skipped stage shows here as a missing span."""
+    child = ast.parse((REPO / "bench" / "child.py").read_text(encoding="utf-8"))
+    stages = next(ast.literal_eval(node.value) for node in child.body if isinstance(node, ast.Assign)
+                  and getattr(node.targets[0], "id", None) == "STAGES")
+    sources = tmp_path / "sources.txt"
+    sources.write_text(str(REPO / "docs" / "examples" / "odtime.f"))
+    result = subprocess.run(
+        [sys.executable, "-I", str(REPO / "bench" / "child.py"), "trace",
+         str(REPO), str(sources), str(tmp_path / "out"), "fixed"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    report = json.loads(result.stdout)
+    assert report["status"] == 0
+    spans = report["spans"]
+    names = [name for name, *_ in spans]
+    assert names.count("emit.process_source") == 1
+    source = names.index("emit.process_source")
+    for stage in stages.values():
+        # Each stage runs, and only inside the source's pipeline.
+        parents = {parent for name, parent, *_ in spans if name == stage}
+        assert parents == {source}, stage

@@ -383,8 +383,8 @@ def test_token_list_is_released_before_analysis(monkeypatch, tmp_path):
     lists = []  # a weak reference to each token list tokenize returned
     released = []  # at each analyze call, whether the last list was freed
 
-    def tracked_tokenize(unit):
-        tokens = _TokenList(tokenize(unit))
+    def tracked_tokenize(*args):
+        tokens = _TokenList(tokenize(*args))
         lists.append(weakref.ref(tokens))
         return tokens
 
@@ -414,7 +414,7 @@ def test_every_dataclass_declares_slots():
         if isinstance(obj, type) and obj.__module__ == module.__name__
         and dataclasses.is_dataclass(obj)
     ]
-    assert len(classes) >= 44
+    assert len(classes) >= 43
     unslotted = [
         f"{cls.__module__}.{cls.__qualname__}" for cls in classes
         if "__slots__" not in vars(cls)

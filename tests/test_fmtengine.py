@@ -224,12 +224,10 @@ def test_expand_columns_tile():
 def test_expand_slash_starts_new_record():
     layout = expand(parse_descriptors("i4,1x/f6.2"))
     assert layout.record_breaks == (2,)
-    records = layout.records()
-    assert len(records) == 2
-    assert [i.kind for i in records[0].items] == [LayoutKind.INTEGER, LayoutKind.BLANK]
-    assert records[1].items[0].start_column == 1
-    assert records[0].record_width == 5
-    assert records[1].record_width == 6
+    first, second = layout.items[:2], layout.items[2:]
+    assert [i.kind for i in first] == [LayoutKind.INTEGER, LayoutKind.BLANK]
+    assert [(i.start_column, i.end_column) for i in first] == [(1, 4), (5, 5)]
+    assert [(i.start_column, i.end_column) for i in second] == [(1, 6)]
 
 
 # ---------------------------------------------------------------------------
@@ -535,9 +533,11 @@ def test_group_expansion_is_k_concatenated_copies(k, children):
 @settings(max_examples=100)
 def test_tiling_invariant(descriptors):
     layout = expand(descriptors)
-    for record in layout.records():
-        if record.items:
-            assert record.items[0].start_column == 1
-        for prev, item in zip(record.items, record.items[1:]):
+    bounds = [0, *layout.record_breaks, len(layout.items)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        record = layout.items[lo:hi]
+        if record:
+            assert record[0].start_column == 1
+        for prev, item in zip(record, record[1:]):
             assert item.start_column == prev.end_column + 1
             assert item.end_column == item.start_column + item.width - 1

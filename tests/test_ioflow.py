@@ -7,7 +7,7 @@ from fmtderive.fmtengine import FixedEdit, IntEdit, PositionX
 from fmtderive.ioflow import (
     MissingFormatLabel, Multiplicity, bind_units, loop_multiplicity, trip_count,
 )
-from fmtderive.lexer import SourceUnit, tokenize
+from fmtderive.lexer import FIXED_FORM, tokenize
 from fmtderive.symbols import (
     DOUBLE_PRECISION, INTEGER, SymbolTables, build_tables,
 )
@@ -60,8 +60,8 @@ def test_unclosed_binding_runs_to_end_of_program():
         "      WRITE(12,*) K\n"
         "      END\n"
     )
-    program = parse(tokenize(SourceUnit("<test>", src)))
-    binding = bind_units(program)[0]
+    program = parse(tokenize(src, FIXED_FORM))
+    binding = bind_units(program, build_tables(program))[0]
     assert binding.opened_at == 1
     assert binding.closed_at == program.end_line == 3
 
@@ -561,3 +561,21 @@ def test_zero_do_step_note_names_the_step():
     ]
     # The group keeps its defaulted count.
     assert [(e.multiplicity.resolved, e.multiplicity.defaulted) for e in events] == [(3, True), (30, True)]
+
+
+def test_comma_after_do_label_keeps_the_loops():
+    # F77 11.10: DO s [,] i = e1, e2 [, e3].
+    src = (
+        "      PARAMETER (N=3)\n"
+        "      DO 10, I = 1, N\n"
+        "      DO 10, J = 1, N\n"
+        "      WRITE(6,20) I, J\n"
+        "   20 FORMAT(2I4)\n"
+        "   10 CONTINUE\n"
+    )
+    program, _, events = run_pipeline(src)
+    outer = program.statements[1]
+    assert isinstance(outer, DoStmt) and (outer.label, outer.var) == (10, "I")
+    mult = events[0].multiplicity
+    assert (expr_text(mult.count), mult.resolved, mult.defaulted) == ("N*N", 9, False)
+    assert {note.kind for note in events[0].diagnostics} == {"implicitly-typed"}

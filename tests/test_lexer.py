@@ -3,7 +3,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fmtderive.lexer import (
-    FIXED_FORM, FREE_FORM, LexError, SourceUnit, Token, TokenKind, tokenize,
+    FIXED_FORM, FREE_FORM, LexError, Token, TokenKind, tokenize,
 )
 
 
@@ -12,7 +12,7 @@ def kinds(tokens):
 
 
 def lex(text, dialect=FIXED_FORM):
-    return tokenize(SourceUnit("<test>", text, dialect))
+    return tokenize(text, dialect)
 
 
 def test_parameter_statement_tokens():
@@ -198,13 +198,12 @@ def test_character_outside_accepted_set_raises():
 
 
 def test_tokenize_is_deterministic(model_source):
-    unit = SourceUnit("model.f", model_source)
-    assert tokenize(unit) == tokenize(unit)
+    assert lex(model_source) == lex(model_source)
 
 
 def test_lexeme_positions_point_into_source(model_source):
     lines = model_source.split("\n")
-    for tok in tokenize(SourceUnit("model.f", model_source)):
+    for tok in lex(model_source):
         if tok.kind is TokenKind.END_OF_STATEMENT:
             continue
         line = lines[tok.line - 1]
@@ -217,7 +216,7 @@ def test_statement_reconstruction_modulo_layout(model_source):
     statement_texts = ["".join(l[6:72].split()) for l in lines]
     per_statement: list[str] = []
     current: list[str] = []
-    for tok in tokenize(SourceUnit("model.f", model_source)):
+    for tok in lex(model_source):
         if tok.kind is TokenKind.END_OF_STATEMENT:
             per_statement.append("".join(current))
             current = []
@@ -228,7 +227,7 @@ def test_statement_reconstruction_modulo_layout(model_source):
 
 def test_dialect_must_be_known():
     with pytest.raises(ValueError):
-        SourceUnit("x.f", "      END", "f2008")
+        tokenize("      END", "f2008")
 
 
 def test_token_is_immutable():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmtderive.lexer import FREE_FORM, SourceUnit, tokenize
+from fmtderive.lexer import FIXED_FORM, FREE_FORM, tokenize
 from fmtderive.symbols import (
     DOUBLE_PRECISION, INTEGER, REAL, ConflictingDeclaration, DataType,
     SymbolTables, UndeclaredName, Unresolved, VariableConstantClash,
@@ -18,7 +18,7 @@ from conftest import run_pipeline
 
 
 def tables_for(src):
-    return build_tables(parse(tokenize(SourceUnit("<test>", src))))
+    return build_tables(parse(tokenize(src, FIXED_FORM)))
 
 
 def test_model_example_tables(model_program):
@@ -114,12 +114,24 @@ def test_unresolvable_parameter_is_diagnosed_and_kept():
     tables = tables_for("      INTEGER M\n      PARAMETER (M=Q*2)")
     entry = tables.find_constant("M")
     assert (entry.data_type, entry.value) == (INTEGER, Unresolved("Q*2"))
-    assert tables.diagnostics == [entry.note]
     assert (entry.note.kind, entry.note.line) == ("unresolved-constant", 2)
+    assert dump_symbols(tables).splitlines()[-1] == (
+        "unresolved-constant at line 2: constant M = Q*2 cannot be resolved")
     notes = []
     assert lookup_type(tables, IoItem("M"), "<main>", notes) == INTEGER
     assert eval_int(tables, SymbolRef("M"), notes) == Unresolved("M")
     assert notes == [entry.note] * 2
+
+
+def test_dump_symbols_lists_unresolved_notes_in_source_order():
+    tables = tables_for("      PARAMETER (B=Y+1, N=3)\n      PARAMETER (A=X)")
+    assert dump_symbols(tables).splitlines()[-5:] == [
+        "  B = Y+1 (unresolved): real",
+        "  N = 3: integer",
+        "  A = X (unresolved): real",
+        "unresolved-constant at line 1: constant B = Y+1 cannot be resolved",
+        "unresolved-constant at line 2: constant A = X cannot be resolved",
+    ]
 
 
 def test_negated_parameter_resolves():
@@ -270,7 +282,7 @@ def reference_value(expr):
 @settings(max_examples=300, deadline=None)
 def test_expr_text_parses_back_to_the_same_tree(tree):
     source = f"do i = 1, {expr_text(tree)}\nend do\n"
-    loop = parse(tokenize(SourceUnit("<test>", source, FREE_FORM))).statements[0]
+    loop = parse(tokenize(source, FREE_FORM)).statements[0]
     assert loop.stop == tree
 
 

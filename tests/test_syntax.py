@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from fmtderive.lexer import FIXED_FORM, FREE_FORM, SourceUnit, tokenize
+from fmtderive.lexer import FIXED_FORM, FREE_FORM, tokenize
 from fmtderive.syntax import (
     ANONYMOUS_MAIN, CloseStmt, ContinueStmt, DeclStmt, DoStmt,
     DuplicateFormatLabel, FormatStmt, Inline, IoItem, IoStmt, Label,
@@ -15,7 +15,7 @@ from conftest import run_pipeline
 
 
 def parse_src(text, dialect=FIXED_FORM):
-    return parse(tokenize(SourceUnit("<test>", text, dialect)))
+    return parse(tokenize(text, dialect))
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,7 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ], ids=lambda path: path.name)
 def test_end_line_is_the_largest_token_line(path):
     dialect = FREE_FORM if path.suffix == ".f90" else FIXED_FORM
-    tokens = tokenize(SourceUnit(path.name, path.read_text(encoding="latin-1"), dialect))
+    tokens = tokenize(path.read_text(encoding="latin-1"), dialect)
     assert parse(tokens).end_line == max(tok.line for tok in tokens)
 
 
