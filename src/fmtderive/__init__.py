@@ -4,9 +4,9 @@ every file the program reads or writes, one XML document per file."""
 from .diagnostics import AnalysisError, Diagnostic
 from .emit import DataFormatDoc, build_docs, run_cli, serialize
 from .fmtengine import (
-    CharEdit, DescriptorError, ExpEdit, FixedEdit, Group, IntEdit, Layout,
-    LayoutItem, LayoutKind, LiteralText, PositionX, RecordBreak, Repeated,
-    canonical_text, data_format_of, describe, expand, parse_descriptors,
+    DataEdit, DescriptorError, Group, Layout, LayoutItem, LayoutKind,
+    LiteralText, PositionX, RecordBreak, Repeated, canonical_text,
+    data_format_of, describe, expand, parse_descriptors,
 )
 from .ioflow import (
     IoEvent, Multiplicity, UnitBinding, analyze, bind_units, loop_multiplicity,

@@ -1,8 +1,8 @@
 """FORTRAN format edit descriptor parsing, expansion and rendering.
 
 Supported descriptors: nX position skips, Iw, Fw.d, Ew.d (D is accepted and
-normalized to E), Aw, quoted literals, Hollerith literals, slashes and
-repeat groups of arbitrary nesting depth.  Control descriptors that only
+normalized to E), Gw.d, Lw, Aw, quoted literals, Hollerith literals, slashes
+and repeat groups of arbitrary nesting depth.  Control descriptors that only
 affect runtime formatting (P, BN, BZ, S, SP, SS, T, TL, TR, colon) are
 skipped with a diagnostic rather than rejected.
 """
@@ -33,25 +33,12 @@ class PositionX:
 
 
 @dataclass(frozen=True, slots=True)
-class IntEdit:
-    width: int
-
-
-@dataclass(frozen=True, slots=True)
-class FixedEdit:
-    width: int
-    frac: int
-
-
-@dataclass(frozen=True, slots=True)
-class ExpEdit:
-    width: int
-    frac: int
-
-
-@dataclass(frozen=True, slots=True)
-class CharEdit:
+class DataEdit:
+    """A data edit descriptor: Iw, Fw.d, Ew.d (Dw.d reads as E), Gw.d, Lw or
+    Aw.  frac is None for I, L and A; width is None for a bare A."""
+    letter: str
     width: int | None = None
+    frac: int | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,12 +76,7 @@ class Repeated:
             raise ValueError("a repeat count is at least 1")
 
 
-EditDescriptor = (
-    PositionX | IntEdit | FixedEdit | ExpEdit | CharEdit | LiteralText
-    | RecordBreak | Group | Repeated
-)
-
-_DATA_LEAVES = (IntEdit, FixedEdit, ExpEdit, CharEdit)
+EditDescriptor = PositionX | DataEdit | LiteralText | RecordBreak | Group | Repeated
 
 
 class LayoutKind(enum.Enum):
@@ -102,8 +84,23 @@ class LayoutKind(enum.Enum):
     INTEGER = "integer"
     FIXED_REAL = "fixed-real"
     EXP_REAL = "exp-real"
+    GENERAL_REAL = "general-real"
+    LOGICAL = "logical"
     CHARACTER = "character"
     LITERAL = "literal"
+
+
+# Each data edit letter: the layout kind it makes, and the type names of the
+# values it may carry (F77 13.5.9-13.5.11).
+_REALS = ("REAL", "DOUBLE_PRECISION", "COMPLEX")
+_LETTERS = {
+    "I": (LayoutKind.INTEGER, ("INTEGER",)),
+    "F": (LayoutKind.FIXED_REAL, _REALS),
+    "E": (LayoutKind.EXP_REAL, _REALS),
+    "G": (LayoutKind.GENERAL_REAL, _REALS),
+    "L": (LayoutKind.LOGICAL, ("LOGICAL",)),
+    "A": (LayoutKind.CHARACTER, ("CHARACTER",)),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,12 +135,12 @@ _ITEM = r"""(?xs) [ ,]* (?:
   | (?P<sign> [+-] )
     # Any other item may follow a repeat count.
   | (?P<count> [0-9]+ )? (?:
-        # Iw.m, Fw.d, Ew.d, Dw.d; E and D also take an Ee exponent suffix.
-        (?P<edit> (?P<letter> [IiFf] | (?P<exp> [EeDd] ) ) (?P<width> [0-9]* )
-                  (?: (?P<dot> \. ) (?P<frac> [0-9]* ) (?(exp) (?: [Ee][0-9]+ )? ) )? )
+        # Iw.m, Fw.d, Ew.d, Dw.d, Gw.d, Lw, Aw: E, D and G also take an Ee
+        # exponent suffix, and L and A no fraction.
+        (?P<edit> (?: (?P<bare> [LlAa] ) | (?P<exp> [EeDdGg] ) | [IiFf] ) (?P<width> [0-9]* )
+                  (?(bare) | (?: (?P<dot> \. ) (?P<frac> [0-9]* ) (?(exp) (?: [Ee][0-9]+ )? ) )? ) )
       | (?P<x> [Xx] )
       | (?P<open> \( )
-      | (?P<char> [Aa] (?P<length> [0-9]* ) )
       | (?P<slash> / )
         # A doubled quote inside a literal stands for one quote character.
       | (?P<quoted> '[^']*(?:''[^']*)*'(?!') | "[^"]*(?:""[^"]*)*"(?!") )
@@ -175,20 +172,21 @@ def parse_descriptors(text: str, diagnostics: list[Diagnostic] | None = None) ->
             what = "X count" if kind == "x" else "repeat count"
             raise DescriptorError(m.start("count"), f"{what} must be at least 1")
         if kind == "edit":
-            letter, width, frac = m["letter"].upper(), int(m["width"] or 0), m["frac"]
-            if width < 1:
-                raise DescriptorError(m.start(kind), f"{letter} descriptor needs a width")
-            if letter == "I":
+            letter, width, frac = m[kind][0].upper(), int(m["width"] or 0), m["frac"]
+            if letter == "A" and not m["width"]:
+                width = None
+            elif width < 1:
+                raise DescriptorError(m.start(kind), "A descriptor width must be at least 1"
+                                      if letter == "A" else f"{letter} descriptor needs a width")
+            elif letter == "I" and frac == "":
                 # Iw.m: the minimum-digits suffix does not change the layout.
-                if frac == "":
-                    raise DescriptorError(m.start("dot"), "malformed minimum digits")
-                leaf: EditDescriptor = IntEdit(width)
-            elif not frac:
+                raise DescriptorError(m.start("dot"), "malformed minimum digits")
+            elif letter in "FEDG" and not frac:
                 raise DescriptorError(m.start(kind), f"{letter} descriptor needs width.frac")
-            elif int(frac) >= width:
+            elif letter in "FEDG" and int(frac) >= width:
                 raise DescriptorError(m.start(kind), "fraction digits must be smaller than the width")
-            else:
-                leaf = (FixedEdit if letter == "F" else ExpEdit)(width, int(frac))
+            leaf = DataEdit("E" if letter == "D" else letter, width,
+                            int(frac) if letter in "FEDG" else None)
         elif kind == "x":
             items.append(PositionX(1 if count is None else count))
             continue
@@ -209,10 +207,6 @@ def parse_descriptors(text: str, diagnostics: list[Diagnostic] | None = None) ->
             if open_groups:
                 raise DescriptorError(open_groups[-1][2], "missing ')'")
             return items
-        elif kind == "char":
-            if m["length"] and int(m["length"]) == 0:
-                raise DescriptorError(m.start(kind), "A descriptor width must be at least 1")
-            leaf = CharEdit(int(m["length"]) if m["length"] else None)
         elif kind == "quoted":
             quote = text[m.start(kind)]
             leaf = LiteralText(m[kind][1:-1].replace(quote * 2, quote))
@@ -280,7 +274,7 @@ def _run_of(d: EditDescriptor) -> tuple | None:
 def _has_data(d: EditDescriptor) -> bool:
     if isinstance(d, Group):
         return any(map(_has_data, d.children))
-    return isinstance(d.single if isinstance(d, Repeated) else d, _DATA_LEAVES)
+    return isinstance(d.single if isinstance(d, Repeated) else d, DataEdit)
 
 
 def _runs(descriptors):
@@ -342,13 +336,9 @@ def expand(descriptors: list[EditDescriptor]) -> Layout:
         frac = None
         if isinstance(d, PositionX):
             kind, width = LayoutKind.BLANK, d.count
-        elif isinstance(d, IntEdit):
-            kind, width = LayoutKind.INTEGER, d.width
-        elif isinstance(d, (FixedEdit, ExpEdit)):
-            kind = LayoutKind.FIXED_REAL if isinstance(d, FixedEdit) else LayoutKind.EXP_REAL
-            width, frac = d.width, d.frac
-        elif isinstance(d, CharEdit):
-            kind, width = LayoutKind.CHARACTER, d.width if d.width is not None else 1
+        elif isinstance(d, DataEdit):
+            # A bare A is one column wide.
+            kind, width, frac = _LETTERS[d.letter][0], d.width or 1, d.frac
         elif isinstance(d, LiteralText):
             kind, width = LayoutKind.LITERAL, len(d.text)
         else:
@@ -362,6 +352,8 @@ _CLAUSES = {
     LayoutKind.INTEGER: "integer with a width of {w}",
     LayoutKind.FIXED_REAL: "real number with a width of {w} and {f} digits after the decimal point",
     LayoutKind.EXP_REAL: "real number in exponent form with a width of {w} and {f} digits after the decimal point",
+    LayoutKind.GENERAL_REAL: "real number in general form with a width of {w} and {f} significant digits",
+    LayoutKind.LOGICAL: "logical value with a width of {w}",
     LayoutKind.CHARACTER: "character string with a width of {w}",
     LayoutKind.LITERAL: "literal text with a width of {w}",
 }
@@ -389,14 +381,9 @@ def canonical_text(descriptors: list[EditDescriptor]) -> str:
 def _canonical_one(d: EditDescriptor) -> str:
     if isinstance(d, PositionX):
         return f"{d.count}x"
-    if isinstance(d, IntEdit):
-        return f"i{d.width}"
-    if isinstance(d, FixedEdit):
-        return f"f{d.width}.{d.frac}"
-    if isinstance(d, ExpEdit):
-        return f"e{d.width}.{d.frac}"
-    if isinstance(d, CharEdit):
-        return "a" if d.width is None else f"a{d.width}"
+    if isinstance(d, DataEdit):
+        text = d.letter.lower() + ("" if d.width is None else str(d.width))
+        return text if d.frac is None else f"{text}.{d.frac}"
     if isinstance(d, LiteralText):
         return "'" + d.text.replace("'", "''") + "'"
     if isinstance(d, RecordBreak):
@@ -412,27 +399,18 @@ def _canonical_one(d: EditDescriptor) -> str:
 # Item pairing
 # ---------------------------------------------------------------------------
 
-_COMPATIBLE = {
-    IntEdit: ("INTEGER",),
-    FixedEdit: ("REAL", "DOUBLE_PRECISION", "COMPLEX"),
-    ExpEdit: ("REAL", "DOUBLE_PRECISION", "COMPLEX"),
-    CharEdit: ("CHARACTER",),
-}
-
-
 def data_format_of(
     item_type: DataType,
-    descriptor: EditDescriptor | None,
+    descriptor: DataEdit | None,
     diagnostics: list[Diagnostic] | None = None,
 ) -> str:
     """Canonical format attribute for one item; '*' for list-directed."""
     if descriptor is None:
         return "*"
-    if isinstance(descriptor, (Group, Repeated)):
-        raise ValueError("data_format_of expects a leaf descriptor")
+    if not isinstance(descriptor, DataEdit):
+        raise ValueError("data_format_of expects a data edit descriptor")
     text = _canonical_one(descriptor)
-    compatible = _COMPATIBLE.get(type(descriptor), ())
-    if item_type.name not in compatible and diagnostics is not None:
+    if item_type.name not in _LETTERS[descriptor.letter][1] and diagnostics is not None:
         diagnostics.append(Diagnostic(
             diag.TYPE_DESCRIPTOR_MISMATCH,
             f"descriptor {text} cannot carry a value of type {item_type.name}",
@@ -460,7 +438,7 @@ def pair_items(
         paired = len(pairs)
         pending: list = []  # separator runs no data leaf has taken yet
         for leaf, count in _runs(segment):
-            if not isinstance(leaf, _DATA_LEAVES):
+            if not isinstance(leaf, DataEdit):
                 pending.append((leaf, count))
                 continue
             unrolled += _count(pending, RecordBreak)

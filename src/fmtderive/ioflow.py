@@ -10,8 +10,8 @@ from . import diagnostics as diag
 from .diagnostics import AnalysisError, Diagnostic
 from .fmtengine import EditDescriptor, data_format_of, pair_items, parse_descriptors
 from .symbols import (
-    DataType, INTEGER, REAL, SymbolTables, Unresolved, character, eval_int,
-    lookup_type,
+    DOUBLE_PRECISION, DataType, INTEGER, REAL, SymbolTables, Unresolved,
+    character, eval_int, lookup_type,
 )
 from .syntax import (
     BinOp, CloseStmt, DoStmt, Inline, IntExpr, IoStmt, Label, ListDirected,
@@ -159,11 +159,13 @@ def loop_multiplicity(trips: list[Multiplicity]) -> Multiplicity:
 
 
 def _literal_item_type(name: str) -> DataType:
+    """The type of a constant (F77 4.5): a D exponent makes it DOUBLE
+    PRECISION, and a doubled quote in a string is one character."""
     if name[:1] in "'\"":
-        return character(max(1, len(name) - 2))
-    if any(c in name for c in ".eEdD"):
-        return REAL
-    return INTEGER
+        return character(max(1, len(name[1:-1].replace(name[0] * 2, name[0]))))
+    if "d" in name or "D" in name:
+        return DOUBLE_PRECISION
+    return REAL if any(c in name for c in ".eE") else INTEGER
 
 
 def analyze(

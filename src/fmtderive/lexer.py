@@ -399,8 +399,12 @@ def _classify_leading(stmt: _Statement, toks: list[Token], offs: list[int], i: i
         w = "DOUBLEPRECISION"
     if w in DATA_TYPE_WORDS:
         _keyword(toks, i, DATA_TYPE_WORDS[w])
-        if _word_at(toks, i + 1) == "FUNCTION" and _word_at(toks, i + 2):
-            _keyword(toks, i + 1, "FUNCTION")
+        k = i + 1  # FUNCTION may follow a length *n or *(...) (F77 15.5.1)
+        if _punct_at(toks, k) == "ASTERISK":
+            paren = _punct_at(toks, k + 1) == "LPAREN"
+            k = (_match_paren(toks, k + 1) or k) + 1 if paren else k + 2
+        if _word_at(toks, k) == "FUNCTION" and _word_at(toks, k + 1):
+            _keyword(toks, k, "FUNCTION")
     elif w == "READ" or w == "WRITE":
         close = _match_paren(toks, i + 1) if nxt == "LPAREN" else None
         if close is not None and _punct_at(toks, close + 1) == "EQUALS":
@@ -452,9 +456,8 @@ def _classify_leading(stmt: _Statement, toks: list[Token], offs: list[int], i: i
             # _condition made a keyword is no word, so nothing follows.
             _classify_leading(stmt, toks, offs, close + 1)
     elif w == "DO":
-        k = i + 1
-        if k < len(toks) and toks[k].kind is TokenKind.INTEGER_CONSTANT:
-            k += 1 + (_punct_at(toks, k + 1) == "COMMA")  # DO s [,] i = (F77 11.10)
+        k = i + 1 + (i + 1 < len(toks) and toks[i + 1].kind is TokenKind.INTEGER_CONSTANT)
+        k += _punct_at(toks, k) == "COMMA"  # DO [s] [,] i = (F77 11.10, F90 R821)
         if _word_at(toks, k) and _punct_at(toks, k + 1) == "EQUALS":
             _keyword(toks, i, "DO")
 

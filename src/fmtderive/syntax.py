@@ -555,12 +555,10 @@ def _parse_format_stmt(toks: list[Token], line: int, label: int | None) -> Forma
 
 
 def _parse_do_header(toks: list[Token], line: int, own_label: int | None) -> DoStmt:
-    # The lexer makes DO a keyword only in `DO [label [,]] name =`.
-    i = 1
-    terminal: int | None = None
-    if toks[i].kind is TokenKind.INTEGER_CONSTANT:
-        terminal = int(toks[i].lexeme)
-        i += 1 + (_punct_at(toks, i + 1) == "COMMA")
+    # The lexer makes DO a keyword only in `DO [label] [,] name =`.
+    terminal = int(toks[1].lexeme) if toks[1].kind is TokenKind.INTEGER_CONSTANT else None
+    i = 1 + (terminal is not None)
+    i += _punct_at(toks, i) == "COMMA"
     var = toks[i].lexeme
     parts = _split_commas(toks[i + 2:])
     if len(parts) not in (2, 3) or not all(parts):
@@ -624,8 +622,11 @@ def parse(tokens: list[Token]) -> ProgramUnit:
         if label is not None:
             del toks[0]
         line = toks[0].line if toks else 0
-        # A typed FUNCTION header is led by its FUNCTION keyword.
-        head = 1 if len(toks) > 1 and toks[1].which == "FUNCTION" else 0
+        # A typed FUNCTION header is led by its FUNCTION keyword, after the
+        # type and its length; the lexer makes FUNCTION a keyword only there.
+        head = 0
+        if toks and toks[0].kind is TokenKind.DATA_TYPE_KEYWORD:
+            head = next((k for k, tok in enumerate(toks) if tok.which == "FUNCTION"), 0)
         key = toks[head].which if toks else None
         body, conditional = toks, if_depth > 0
         if key == "IF":

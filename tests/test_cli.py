@@ -84,6 +84,14 @@ def test_descriptor_subcommand(capsys):
     assert "space, space, integer with a width of 4" in out
 
 
+def test_descriptor_subcommand_logical_general_and_record_break(capsys):
+    assert run_cli(["descriptor", "L2,G12.5,I4/A2"]) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in table[1:3]] == [["logical", "2"], ["general-real", "12"]]
+    assert table[4] == "-- new record --"
+    assert table[5].split()[:2] == ["character", "2"]
+
+
 def test_descriptor_subcommand_rejects_garbage(capsys):
     assert run_cli(["descriptor", "q9"]) == 1
     assert "error" in capsys.readouterr().err
@@ -101,6 +109,27 @@ def test_dump_flags(model_file, tmp_path, capsys):
     assert "N = 136" in out                           # symbols
     assert "line 8: READ ODTIME.PRN x18496" in out    # events
     assert "1:7 control-keyword(PARAMETER) PARAMETER" in out
+
+
+def test_dump_symbols_reports_implicit_none(tmp_path, capsys):
+    src = tmp_path / "imp.f"
+    src.write_text("      IMPLICIT NONE\n      INTEGER K\n      WRITE(6,*) K\n")
+    assert run_cli(["parse", str(src), "-o", str(tmp_path / "out"), "--dump-symbols"]) == 0
+    assert "implicit none: yes" in capsys.readouterr().out.splitlines()
+
+
+def test_logical_and_general_descriptors_carry_their_types(tmp_path, capsys):
+    # F77 13.5.10 and 13.5.9.2.3: Lw carries LOGICAL, Gw.d a real value.
+    src = tmp_path / "l.f"
+    src.write_text("      LOGICAL L\n      REAL X\n      WRITE(6,10) L, X\n   10 FORMAT(L2, G12.5)\n")
+    assert run_cli(["parse", str(src), "-o", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "stdout.format.xml").read_text() == (
+        '<dataformat file="&lt;stdout&gt;" direction="output">\n'
+        '  <group number="1" separator="explicit">\n'
+        '    <logical format="l2"/>\n'
+        '    <real format="g12.5"/>\n'
+        '  </group>\n'
+        '</dataformat>\n')
 
 
 def test_free_form_dialect_flag(tmp_path):
@@ -193,8 +222,14 @@ def test_closed_stdout_stops_quietly(tmp_path):
     ("zero.f",
      "      OPEN(3, FILE='Z.TXT')\n      WRITE(3,100) K\n  100 FORMAT(0(I4))\n",
      ":2", "position 0: repeat count must be at least 1"),
+    ("dp.f",
+     "      PARAMETER (N=1)\n      PARAMETER (N=2)\n",
+     ":2", "conflicting declarations for N"),
+    ("cont.f",
+     "     1X = 1\n",
+     ":1:6", "continuation with nothing to continue"),
 ], ids=["format", "duplicate-label", "conflict", "clash", "undeclared", "missing-label", "lex",
-        "parse", "unterminated-do", "zero-count"])
+        "parse", "unterminated-do", "zero-count", "parameter-twice", "lone-continuation"])
 def test_errors_name_file_line_and_column(tmp_path, capsys, name, source, location, message):
     path = tmp_path / name
     path.write_text(source)
@@ -385,10 +420,20 @@ def _parse_outputs(tmp_path, capsys, source, *flags):
     return docs, capsys.readouterr().out
 
 
-@pytest.mark.parametrize("source", [MODEL_SOURCE, TOLERANT_SOURCE])
+_UNLABELLED_DO = """\
+      OPEN(3, FILE='OUT.DAT')
+      DO I = 1, 3
+        WRITE(3,100) I
+      END DO
+  100 FORMAT(I4)
+      END
+"""
+
+
+@pytest.mark.parametrize("source", [MODEL_SOURCE, TOLERANT_SOURCE, _UNLABELLED_DO])
 def test_comma_after_do_label_changes_nothing(tmp_path, capsys, source):
-    # F77 11.10: DO s [,] i = e1, e2 [, e3].
-    comma, loops = re.subn(r"\bDO (\d+) ", r"DO \1, ", source)
+    # F77 11.10 and F90 R821: DO [s] [,] i = e1, e2 [, e3].
+    comma, loops = re.subn(r"\bDO (\d+ )?(?=[A-Z]\w* ?=)", r"DO \1, ", source)
     assert loops > 0
     flags = ("--dump-ast", "--dump-events")
     assert _parse_outputs(tmp_path, capsys, comma, *flags) == _parse_outputs(tmp_path, capsys, source, *flags)

@@ -13,11 +13,9 @@ import fmtderive
 from fmtderive import emit
 from fmtderive.diagnostics import Diagnostic
 from fmtderive.emit import DataFormatDoc, build_docs, run_cli, serialize
-from fmtderive.fmtengine import (
-    CharEdit, ExpEdit, FixedEdit, IntEdit, LiteralText, PositionX,
-)
+from fmtderive.fmtengine import DataEdit, LiteralText, PositionX
 from fmtderive.ioflow import EventItem, IoEvent, Multiplicity, UnitBinding
-from fmtderive.symbols import DOUBLE_PRECISION, INTEGER, REAL, character
+from fmtderive.symbols import DOUBLE_PRECISION, INTEGER, LOGICAL, REAL, character
 from fmtderive.syntax import BinOp, Inline, Label, ListDirected, Literal, SymbolRef, expr_text
 
 from conftest import MODEL_SOURCE, run_pipeline
@@ -109,7 +107,7 @@ def test_model_docs_structure(model_source):
     [event] = basic.groups
     assert event.multiplicity.resolved == 136 and not event.multiplicity.defaulted
     assert event.format == Label(501)
-    x, i4, f12 = PositionX(1), IntEdit(4), FixedEdit(12, 6)
+    x, i4, f12 = PositionX(1), DataEdit("I", 4), DataEdit("F", 12, 6)
     assert [(i.data_type, i.descriptor, i.separators) for i in event.items] == [
         (INTEGER, i4, (x, x)), (INTEGER, i4, (x,)),
         (DOUBLE_PRECISION, f12, (x,)), (DOUBLE_PRECISION, f12, (x,)), (DOUBLE_PRECISION, f12, (x,)),
@@ -206,7 +204,7 @@ def test_conditional_group_attribute(tolerant_source):
 
 def test_notes_and_attributes_are_escaped():
     name = 'WE"IRD<&>.TXT'
-    item = EventItem("K", INTEGER, IntEdit(4), (LiteralText('<&">'),))
+    item = EventItem("K", INTEGER, DataEdit("I", 4), (LiteralText('<&">'),))
     event = IoEvent("READ", UnitBinding(9, name), Label(20), (item,), Multiplicity(Literal(1), 1), 3)
     doc = DataFormatDoc(
         name, "input", (event,),
@@ -272,12 +270,11 @@ _separator_runs = st.lists(st.tuples(
     ),
     st.integers(1, 30),
 ), max_size=6)
-_types = st.sampled_from([INTEGER, REAL, DOUBLE_PRECISION, character(8)])
+_types = st.sampled_from([INTEGER, REAL, DOUBLE_PRECISION, LOGICAL, character(8)])
 _descriptors = st.one_of(
-    st.builds(IntEdit, st.integers(1, 12)),
-    st.builds(FixedEdit, st.integers(1, 12), st.integers(0, 6)),
-    st.builds(ExpEdit, st.integers(1, 12), st.integers(0, 6)),
-    st.builds(CharEdit, st.none() | st.integers(1, 12)),
+    st.builds(DataEdit, st.sampled_from("IL"), st.integers(1, 12)),
+    st.builds(DataEdit, st.sampled_from("FEG"), st.integers(1, 12), st.integers(0, 6)),
+    st.builds(DataEdit, st.just("A"), st.none() | st.integers(1, 12)),
 )
 _explicit_items = st.lists(st.builds(
     lambda data_type, descriptor, runs: EventItem(
@@ -310,19 +307,17 @@ def _events(draw):
     return IoEvent("WRITE", UnitBinding(10, "OUT.DAT"), fmt, tuple(items), mult, line), text
 
 
-_ELEMENTS = {INTEGER: "integer", REAL: "real", DOUBLE_PRECISION: "double", character(8): "character"}
+_ELEMENTS = {INTEGER: "integer", REAL: "real", DOUBLE_PRECISION: "double", LOGICAL: "logical",
+             character(8): "character"}
 
 
 def _descriptor_text(d) -> str:
     """The canonical lowercase text of one leaf, as the schema spells it."""
     if isinstance(d, PositionX):
         return f"{d.count}x"
-    if isinstance(d, IntEdit):
-        return f"i{d.width}"
-    if isinstance(d, (FixedEdit, ExpEdit)):
-        return f"{'f' if isinstance(d, FixedEdit) else 'e'}{d.width}.{d.frac}"
-    if isinstance(d, CharEdit):
-        return "a" if d.width is None else f"a{d.width}"
+    if isinstance(d, DataEdit):
+        width = "" if d.width is None else d.width
+        return f"{d.letter.lower()}{width}" + ("" if d.frac is None else f".{d.frac}")
     return "'" + d.text.replace("'", "''") + "'"
 
 
@@ -414,7 +409,7 @@ def test_every_dataclass_declares_slots():
         if isinstance(obj, type) and obj.__module__ == module.__name__
         and dataclasses.is_dataclass(obj)
     ]
-    assert len(classes) >= 43
+    assert len(classes) >= 40
     unslotted = [
         f"{cls.__module__}.{cls.__qualname__}" for cls in classes
         if "__slots__" not in vars(cls)

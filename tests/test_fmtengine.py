@@ -5,11 +5,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fmtderive.fmtengine import (
-    CharEdit, DescriptorError, ExpEdit, FixedEdit, Group, IntEdit, LayoutKind,
-    LiteralText, PositionX, RecordBreak, Repeated, canonical_text,
-    data_format_of, describe, expand, pair_items, parse_descriptors,
+    DataEdit, DescriptorError, Group, LayoutKind, LiteralText, PositionX,
+    RecordBreak, Repeated, canonical_text, data_format_of, describe, expand,
+    pair_items, parse_descriptors,
 )
-from fmtderive.symbols import DOUBLE_PRECISION, INTEGER, character
+from fmtderive.symbols import COMPLEX, DOUBLE_PRECISION, INTEGER, LOGICAL, REAL, character
 
 from conftest import run_limited
 
@@ -22,9 +22,7 @@ def brute_width(descriptors) -> int:
     for d in descriptors:
         if isinstance(d, PositionX):
             total += d.count
-        elif isinstance(d, (IntEdit, FixedEdit, ExpEdit)):
-            total += d.width
-        elif isinstance(d, CharEdit):
+        elif isinstance(d, DataEdit):
             total += d.width if d.width is not None else 1
         elif isinstance(d, LiteralText):
             total += len(d.text)
@@ -47,22 +45,25 @@ def brute_width(descriptors) -> int:
 def test_parse_model_format():
     assert parse_descriptors(MODEL_FORMAT) == [
         PositionX(1),
-        Group(2, (PositionX(1), IntEdit(4))),
-        Group(3, (PositionX(1), FixedEdit(12, 6))),
+        Group(2, (PositionX(1), DataEdit("I", 4))),
+        Group(3, (PositionX(1), DataEdit("F", 12, 6))),
     ]
 
 
 def test_parse_single_descriptors():
-    assert parse_descriptors("i4") == [IntEdit(4)]
-    assert parse_descriptors("f12.6") == [FixedEdit(12, 6)]
-    assert parse_descriptors("E10.3") == [ExpEdit(10, 3)]
-    assert parse_descriptors("d14.7") == [ExpEdit(14, 7)]
-    assert parse_descriptors("a") == [CharEdit(None)]
-    assert parse_descriptors("A12") == [CharEdit(12)]
+    assert parse_descriptors("i4") == [DataEdit("I", 4)]
+    assert parse_descriptors("f12.6") == [DataEdit("F", 12, 6)]
+    assert parse_descriptors("E10.3") == [DataEdit("E", 10, 3)]
+    assert parse_descriptors("d14.7") == [DataEdit("E", 14, 7)]
+    assert parse_descriptors("a") == [DataEdit("A")]
+    assert parse_descriptors("A12") == [DataEdit("A", 12)]
+    assert parse_descriptors("l2") == [DataEdit("L", 2)]
+    assert parse_descriptors("G12.5") == [DataEdit("G", 12, 5)]
+    assert parse_descriptors("g12.5e3") == [DataEdit("G", 12, 5)]
     assert parse_descriptors("x") == [PositionX(1)]
     assert parse_descriptors("10X") == [PositionX(10)]
     assert parse_descriptors("/") == [RecordBreak()]
-    assert parse_descriptors("3i2") == [Repeated(3, IntEdit(2))]
+    assert parse_descriptors("3i2") == [Repeated(3, DataEdit("I", 2))]
     assert parse_descriptors("'ab''c'") == [LiteralText("ab'c")]
     assert parse_descriptors("4HG= x") == [LiteralText("G= x")]
     assert parse_descriptors("") == []
@@ -70,7 +71,7 @@ def test_parse_single_descriptors():
 
 def test_parse_nested_groups():
     got = parse_descriptors("2(1x,3(i2,a))")
-    assert got == [Group(2, (PositionX(1), Group(3, (IntEdit(2), CharEdit(None)))))]
+    assert got == [Group(2, (PositionX(1), Group(3, (DataEdit("I", 2), DataEdit("A")))))]
 
 
 @pytest.mark.parametrize("bad", [
@@ -123,6 +124,12 @@ def test_parse_errors(bad):
     ("e10", 0, "E descriptor needs width.frac"),
     ("1x,d10.", 3, "D descriptor needs width.frac"),
     ("F5.5", 0, "fraction digits must be smaller than the width"),
+    ("L", 0, "L descriptor needs a width"),
+    ("i4,L0", 3, "L descriptor needs a width"),
+    ("L2.1", 2, "unknown edit descriptor '.'"),
+    ("G0.0", 0, "G descriptor needs a width"),
+    ("G12", 0, "G descriptor needs width.frac"),
+    ("G5.5", 0, "fraction digits must be smaller than the width"),
     ("E4.9", 0, "fraction digits must be smaller than the width"),
     # Digits and letters are ASCII.
     ("\u00b2I4", 0, "unknown edit descriptor '\u00b2'"),
@@ -152,7 +159,7 @@ def test_descriptor_error_messages_and_positions(text, position, message):
 ])
 def test_control_descriptor_skip_notes(text, name):
     notes = []
-    assert parse_descriptors(f"{text},i4", notes) == [IntEdit(4)]
+    assert parse_descriptors(f"{text},i4", notes) == [DataEdit("I", 4)]
     assert [(d.kind, d.message) for d in notes] == [
         ("unsupported-descriptor", f"control descriptor {name} has no layout effect and was skipped")]
 
@@ -162,7 +169,7 @@ def test_control_descriptor_skip_notes(text, name):
 ])
 def test_control_descriptor_repeat_count_is_named(text, name, count):
     notes = []
-    assert parse_descriptors(f"{text},i4", notes) == [IntEdit(4)]
+    assert parse_descriptors(f"{text},i4", notes) == [DataEdit("I", 4)]
     assert [(d.kind, d.message) for d in notes] == [(
         "unsupported-descriptor",
         f"control descriptor {name} has no layout effect and was skipped;"
@@ -173,13 +180,13 @@ def test_parse_time_is_linear_in_format_length():
     started = time.perf_counter()
     descriptors = parse_descriptors("I4," * 40000)
     assert time.perf_counter() - started < 1.0
-    assert descriptors == [IntEdit(4)] * 40000
+    assert descriptors == [DataEdit("I", 4)] * 40000
 
 
 def test_control_descriptors_skip_with_diagnostic():
     notes = []
     got = parse_descriptors("2P,BN,T12,1X,SP,i4,:", notes)
-    assert got == [PositionX(1), IntEdit(4)]
+    assert got == [PositionX(1), DataEdit("I", 4)]
     assert {d.kind for d in notes} == {"unsupported-descriptor"}
     assert len(notes) == 5
 
@@ -250,11 +257,13 @@ def test_describe_fixed_real():
 
 
 def test_describe_other_kinds():
-    assert describe(expand(parse_descriptors("3X,e10.3,a12,'ab'"))) == (
+    assert describe(expand(parse_descriptors("3X,e10.3,a12,'ab',L2,G12.5"))) == (
         "3 spaces, "
         "real number in exponent form with a width of 10 and 3 digits after the decimal point, "
         "character string with a width of 12, "
-        "literal text with a width of 2"
+        "literal text with a width of 2, "
+        "logical value with a width of 2, "
+        "real number in general form with a width of 12 and 5 significant digits"
     )
 
 
@@ -283,26 +292,34 @@ def test_describe_model_format_matches_enumeration():
 
 
 def test_data_format_of():
-    assert data_format_of(INTEGER, IntEdit(4)) == "i4"
+    assert data_format_of(INTEGER, DataEdit("I", 4)) == "i4"
     assert data_format_of(DOUBLE_PRECISION, None) == "*"
-    assert data_format_of(DOUBLE_PRECISION, FixedEdit(12, 6)) == "f12.6"
+    assert data_format_of(DOUBLE_PRECISION, DataEdit("F", 12, 6)) == "f12.6"
 
 
 def test_data_format_of_mismatch_diagnostic():
     notes = []
-    assert data_format_of(INTEGER, FixedEdit(12, 6), notes) == "f12.6"
+    assert data_format_of(INTEGER, DataEdit("F", 12, 6), notes) == "f12.6"
     assert [d.kind for d in notes] == ["type-descriptor-mismatch"]
     notes = []
-    data_format_of(DOUBLE_PRECISION, CharEdit(8), notes)
+    data_format_of(DOUBLE_PRECISION, DataEdit("A", 8), notes)
     assert [d.kind for d in notes] == ["type-descriptor-mismatch"]
     notes = []
-    data_format_of(character(4), CharEdit(8), notes)
+    data_format_of(character(4), DataEdit("A", 8), notes)
     assert notes == []
+    data_format_of(LOGICAL, DataEdit("L", 2), notes)
+    data_format_of(COMPLEX, DataEdit("G", 12, 5), notes)
+    assert notes == []
+    data_format_of(INTEGER, DataEdit("G", 12, 5), notes)
+    data_format_of(REAL, DataEdit("L", 2), notes)
+    assert [d.message for d in notes] == [
+        "descriptor g12.5 cannot carry a value of type INTEGER",
+        "descriptor l2 cannot carry a value of type REAL"]
 
 
 def test_data_format_of_rejects_groups():
     with pytest.raises(ValueError):
-        data_format_of(INTEGER, Group(1, (IntEdit(1),)))
+        data_format_of(INTEGER, Group(1, (DataEdit("I", 1),)))
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +331,8 @@ def test_pair_items_model_case():
     pairs, reverted = pair_items(parse_descriptors(MODEL_FORMAT), 5)
     assert not reverted
     leaves = [leaf for leaf, _ in pairs]
-    assert leaves == [IntEdit(4), IntEdit(4),
-                      FixedEdit(12, 6), FixedEdit(12, 6), FixedEdit(12, 6)]
+    assert leaves == [DataEdit("I", 4), DataEdit("I", 4),
+                      DataEdit("F", 12, 6), DataEdit("F", 12, 6), DataEdit("F", 12, 6)]
     seps = [s for _, s in pairs]
     assert seps == [(PositionX(1), PositionX(1)), (PositionX(1),),
                     (PositionX(1),), (PositionX(1),), (PositionX(1),)]
@@ -324,15 +341,15 @@ def test_pair_items_model_case():
 def test_pair_items_reversion():
     pairs, reverted = pair_items(parse_descriptors("1x,i4"), 3)
     assert reverted
-    assert [leaf for leaf, _ in pairs] == [IntEdit(4)] * 3
+    assert [leaf for leaf, _ in pairs] == [DataEdit("I", 4)] * 3
 
 
 def test_pair_items_reversion_uses_last_group():
     pairs, reverted = pair_items(parse_descriptors("i2,2(1x,f4.1)"), 5)
     assert reverted
     assert [leaf for leaf, _ in pairs] == [
-        IntEdit(2), FixedEdit(4, 1), FixedEdit(4, 1),
-        FixedEdit(4, 1), FixedEdit(4, 1),
+        DataEdit("I", 2), DataEdit("F", 4, 1), DataEdit("F", 4, 1),
+        DataEdit("F", 4, 1), DataEdit("F", 4, 1),
     ]
 
 
@@ -353,7 +370,7 @@ def test_pair_items_hands_out_separator_runs_by_count():
     assert seps == (PositionX(1),) * 1000 + (LiteralText("ab"),) * 2
     # The fourth item comes from reversion to the last group, 2('ab',/).
     assert [p[1] for p in pairs[1:]] == [(), (), (LiteralText("ab"),) * 2]
-    assert [p[0] for p in pairs] == [IntEdit(4)] * 4
+    assert [p[0] for p in pairs] == [DataEdit("I", 4)] * 4
 
 
 @pytest.mark.parametrize("text", ["I4,1000000000(1X)", "I4,1000000000(1X,'A')"])
@@ -372,7 +389,7 @@ def test_huge_separator_repeat_pairs_in_constant_time(text):
     assert result.stderr == ""
     seconds, pairs = result.stdout.splitlines()
     assert float(seconds) < 1.0
-    assert pairs == repr(([(IntEdit(4), ()), (None, ()), (None, ())], True))
+    assert pairs == repr(([(DataEdit("I", 4), ()), (None, ()), (None, ())], True))
 
 
 def test_separator_cap_raises_under_a_memory_limit():
@@ -445,12 +462,10 @@ def reference_pairs(descriptors, item_count):
 # ---------------------------------------------------------------------------
 
 _repeatable_leaves = st.one_of(
-    st.builds(IntEdit, st.integers(1, 40)),
-    st.integers(2, 40).flatmap(
-        lambda w: st.builds(FixedEdit, st.just(w), st.integers(0, w - 1))),
-    st.integers(2, 40).flatmap(
-        lambda w: st.builds(ExpEdit, st.just(w), st.integers(0, w - 1))),
-    st.builds(CharEdit, st.one_of(st.none(), st.integers(1, 30))),
+    st.builds(DataEdit, st.sampled_from("IL"), st.integers(1, 40)),
+    st.integers(2, 40).flatmap(lambda w: st.builds(
+        DataEdit, st.sampled_from("FEG"), st.just(w), st.integers(0, w - 1))),
+    st.builds(DataEdit, st.just("A"), st.one_of(st.none(), st.integers(1, 30))),
     st.builds(LiteralText, st.text(
         alphabet=st.sampled_from("abcXY Z0',.-"), max_size=8)),
     st.just(RecordBreak()),

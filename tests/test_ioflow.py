@@ -3,13 +3,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmtderive import ioflow
-from fmtderive.fmtengine import FixedEdit, IntEdit, PositionX
+from fmtderive.fmtengine import DataEdit, PositionX
 from fmtderive.ioflow import (
     MissingFormatLabel, Multiplicity, bind_units, loop_multiplicity, trip_count,
 )
 from fmtderive.lexer import FIXED_FORM, tokenize
 from fmtderive.symbols import (
-    DOUBLE_PRECISION, INTEGER, SymbolTables, build_tables,
+    DOUBLE_PRECISION, INTEGER, REAL, SymbolTables, build_tables, character,
 )
 from fmtderive.syntax import (
     DoStmt, IoStmt, Label, ListDirected, Literal, SymbolRef, expr_text,
@@ -151,7 +151,15 @@ def test_format_spanning_continuation_lines():
         "      CLOSE(12)\n"
     )
     _, _, events = run_pipeline(src)
-    assert [i.descriptor for i in events[0].items] == [IntEdit(4), IntEdit(6)]
+    assert [i.descriptor for i in events[0].items] == [DataEdit("I", 4), DataEdit("I", 6)]
+
+
+def test_literal_items_take_the_type_of_their_constant():
+    # F77 4.5: a D exponent makes a constant DOUBLE PRECISION, and a doubled
+    # quote in a character constant is one character.
+    _, _, events = run_pipeline("      WRITE(6,*) 1D0, .5d-3, 1.5E2, 2., 3, 'it''s', \"a\"\"b\"\n")
+    assert [i.data_type for i in events[0].items] == [
+        DOUBLE_PRECISION, DOUBLE_PRECISION, REAL, REAL, INTEGER, character(4), character(3)]
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +243,11 @@ def test_model_write_event(model_source):
     assert write.binding.file_name == "Basic.TXT"
     assert write.format == Label(501)
     assert [(i.name, i.data_type, i.descriptor) for i in write.items] == [
-        ("I", INTEGER, IntEdit(4)),
-        ("OZONE", INTEGER, IntEdit(4)),
-        ("BEMP", DOUBLE_PRECISION, FixedEdit(12, 6)),
-        ("POP", DOUBLE_PRECISION, FixedEdit(12, 6)),
-        ("SEMP", DOUBLE_PRECISION, FixedEdit(12, 6)),
+        ("I", INTEGER, DataEdit("I", 4)),
+        ("OZONE", INTEGER, DataEdit("I", 4)),
+        ("BEMP", DOUBLE_PRECISION, DataEdit("F", 12, 6)),
+        ("POP", DOUBLE_PRECISION, DataEdit("F", 12, 6)),
+        ("SEMP", DOUBLE_PRECISION, DataEdit("F", 12, 6)),
     ]
     assert write.items[0].separators == (PositionX(1), PositionX(1))
     assert all(i.separators == (PositionX(1),) for i in write.items[1:])
@@ -281,7 +289,7 @@ def test_reversion_note_when_items_outnumber_descriptors():
     )
     _, _, events = run_pipeline(src)
     event = events[0]
-    assert [i.descriptor for i in event.items] == [IntEdit(4)] * 3
+    assert [i.descriptor for i in event.items] == [DataEdit("I", 4)] * 3
     assert any(d.kind == "descriptor-arity" for d in event.diagnostics)
 
 

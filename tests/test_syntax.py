@@ -190,6 +190,12 @@ WRITE(6,*) X
     ("10 IF (X) FORMAT (I4)\n", [(0, OtherStmt, False)], (ANONYMOUS_MAIN, None)),
     ("PARAMETER X\n", [(0, OtherStmt, False)], (ANONYMOUS_MAIN, None)),
     ("DO I\n", [(0, OtherStmt, False)], (ANONYMOUS_MAIN, None)),
+    # F77 15.5.1: a typed FUNCTION's type may have a length.
+    ("CHARACTER*8 FUNCTION NAMEOF(K)\nEND\n", [(0, OtherStmt, False)] * 2, ("FUNCTION", "NAMEOF")),
+    ("CHARACTER*(*) FUNCTION F(X)\nEND\n", [(0, OtherStmt, False)] * 2, ("FUNCTION", "F")),
+    # F90 R821: a comma may follow DO without a label.
+    ("do, i = 1, 3\nwrite(6,*) i\nend do\n",
+     [(0, DoStmt, False), (1, IoStmt, False), (1, OtherStmt, False)], (ANONYMOUS_MAIN, None)),
 ])
 def test_statement_forms(text, shape, unit):
     program = parse_src(text, FREE_FORM)
